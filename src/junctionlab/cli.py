@@ -38,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
+
+
 class CliError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
@@ -81,15 +92,17 @@ def _material_table(extra_file: str = None) -> dict[str, Material]:
 
 
 def _add_junction_flags(p: argparse.ArgumentParser):
-    p.add_argument("--n0", type=float, required=True, help="surface concentration, cm^-3")
-    p.add_argument("--nb", type=float, required=True, help="background concentration, cm^-3")
-    p.add_argument("--ld", type=float, help="diffusion length, um")
-    p.add_argument("--di", type=float, help="diffusion constant, cm^2/s")
-    p.add_argument("--td", type=float, help="diffusion time, s")
-    p.add_argument("--xj", type=float, help="junction depth override, um")
-    p.add_argument("--vbi", type=float, help="built-in potential override, V")
+    p.add_argument("--n0", type=_finite_float, required=True, help="surface concentration, cm^-3")
+    p.add_argument("--nb", type=_finite_float, required=True,
+                   help="background concentration, cm^-3")
+    p.add_argument("--ld", type=_finite_float, help="diffusion length, um")
+    p.add_argument("--di", type=_finite_float, help="diffusion constant, cm^2/s")
+    p.add_argument("--td", type=_finite_float, help="diffusion time, s")
+    p.add_argument("--xj", type=_finite_float, help="junction depth override, um")
+    p.add_argument("--vbi", type=_finite_float, help="built-in potential override, V")
     p.add_argument("--material", default="Si", help="material name (default Si)")
-    p.add_argument("--temp", type=float, default=300.0, help="temperature, K (default 300)")
+    p.add_argument("--temp", type=_finite_float, default=300.0,
+                   help="temperature, K (default 300)")
     p.add_argument("--regime", choices=["general", "shallow", "deep"], default="general")
 
 
@@ -99,18 +112,18 @@ def _build_spec(args) -> JunctionSpec:
         raise CliError(f"unknown material {args.material!r}; known: "
                        + ", ".join(sorted(table)), EXIT_USAGE)
     material = table[args.material]
-    if args.ld is not None:
-        l_d = args.ld * UM_TO_M
-    elif args.di is not None and args.td is not None:
-        l_d = diffusion_length(DiffusionRecipe(d_i=args.di * CM2_TO_M2, t_d=args.td))
-    else:
+    if args.ld is None and (args.di is None or args.td is None):
         raise CliError("need --ld or both --di and --td", EXIT_USAGE)
     try:
+        if args.ld is not None:
+            l_d = args.ld * UM_TO_M
+        else:
+            l_d = diffusion_length(DiffusionRecipe(d_i=args.di * CM2_TO_M2, t_d=args.td))
         profile = GaussianProfile(n0=args.n0 * CM3_TO_M3, l_d=l_d, n_b=args.nb * CM3_TO_M3)
         return JunctionSpec(material=material, profile=profile, temp=args.temp,
                             x_j=None if args.xj is None else args.xj * UM_TO_M,
                             v_bi=args.vbi)
-    except JunctionError as e:
+    except ValueError as e:
         raise CliError(str(e), EXIT_USAGE)
 
 
@@ -149,11 +162,11 @@ def cmd_sweep(args) -> int:
     spec = _build_spec(args)
     try:
         curve = cvtools.sweep(spec, args.vstart, args.vstop, args.steps, args.regime)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_USAGE)
     except JunctionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PUNCH_THROUGH
+    except ValueError as e:
+        raise CliError(str(e), EXIT_USAGE)
     data = cvtools.serialize(curve, args.format)
     try:
         with open(args.out, "wb") as fh:
@@ -280,14 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[], help="single-bias closed-form solve")
     _add_junction_flags(p)
-    p.add_argument("--bias", type=float, required=True,
+    p.add_argument("--bias", type=_finite_float, required=True,
                    help="bias, V; >= 0 reverse, < 0 forward magnitude")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="C-V sweep to a file")
     _add_junction_flags(p)
-    p.add_argument("--vstart", type=float, required=True)
-    p.add_argument("--vstop", type=float, required=True)
+    p.add_argument("--vstart", type=_finite_float, required=True)
+    p.add_argument("--vstop", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True, help="number of grid points (>= 2)")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -295,18 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="extract (N0, L_d, V_bi) from C-V data")
     p.add_argument("--data", required=True, help="CSV or JSON curve file")
-    p.add_argument("--nb", type=float, required=True, help="assumed background, cm^-3")
+    p.add_argument("--nb", type=_finite_float, required=True, help="assumed background, cm^-3")
     p.add_argument("--material", default="Si")
-    p.add_argument("--temp", type=float, default=300.0)
+    p.add_argument("--temp", type=_finite_float, default=300.0)
     p.add_argument("--fit-vbi", action="store_true")
-    p.add_argument("--guess-n0", type=float, help="initial N0 guess, cm^-3")
-    p.add_argument("--guess-ld", type=float, help="initial L_d guess, um")
-    p.add_argument("--guess-vbi", type=float, help="initial V_bi guess, V")
+    p.add_argument("--guess-n0", type=_finite_float, help="initial N0 guess, cm^-3")
+    p.add_argument("--guess-ld", type=_finite_float, help="initial L_d guess, um")
+    p.add_argument("--guess-vbi", type=_finite_float, help="initial V_bi guess, V")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("oracle", help="closed form vs numerical moment solver")
     _add_junction_flags(p)
-    p.add_argument("--bias", type=float, required=True)
+    p.add_argument("--bias", type=_finite_float, required=True)
     p.add_argument("--model", choices=["paper", "net"], default="paper")
     p.add_argument("--two-sided", action="store_true")
     p.add_argument("--emit-profile", metavar="PATH",

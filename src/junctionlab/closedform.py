@@ -38,8 +38,8 @@ class Bias:
     direction: str  # "reverse" | "forward"
 
     def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError(f"bias magnitude must be >= 0, got {self.value}")
+        if not 0.0 <= self.value < math.inf:
+            raise ValueError(f"bias magnitude must be finite and >= 0, got {self.value}")
         if self.direction not in ("reverse", "forward"):
             raise ValueError(f"direction must be 'reverse' or 'forward', got {self.direction!r}")
 
@@ -76,16 +76,16 @@ class JunctionSpec:
     v_bi: float = None
 
     def __post_init__(self):
-        if self.temp <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temp}")
+        if not 0.0 < self.temp < math.inf:
+            raise ValueError(f"temperature must be finite and positive, got {self.temp}")
         if self.x_j is None:
             object.__setattr__(self, "x_j", junction_depth(self.profile))
         if self.v_bi is None:
             object.__setattr__(self, "v_bi", default_vbi(self.profile, self.material, self.temp))
-        if self.x_j < 0.0:
-            raise ValueError(f"x_j must be >= 0, got {self.x_j}")
-        if self.v_bi <= 0.0:
-            raise ValueError(f"v_bi must be positive, got {self.v_bi}")
+        if not 0.0 <= self.x_j < math.inf:
+            raise ValueError(f"x_j must be finite and >= 0, got {self.x_j}")
+        if not 0.0 < self.v_bi < math.inf:
+            raise ValueError(f"v_bi must be finite and positive, got {self.v_bi}")
 
     @property
     def eps(self) -> float:
@@ -149,57 +149,42 @@ def log_argument(spec: JunctionSpec, v_total: float, regime: Regime = Regime.GEN
     return math.exp(-(spec.x_j / spec.profile.l_d) ** 2) - u
 
 
-def _w_from_potential(spec: JunctionSpec, v_total: float, regime: Regime) -> tuple[float, float]:
-    a = log_argument(spec, v_total, regime)
-    if a <= 0.0:
-        window = validity_window(spec)
-        raise PunchThroughError(
-            f"log argument {a:g} <= 0 at total potential {v_total:g} V; "
-            f"max reverse bias is {window.v_max_reverse:g} V",
-            v_max_reverse=window.v_max_reverse)
-    w = spec.profile.l_d * math.sqrt(-math.log(a))
-    if regime is Regime.GENERAL:
-        w -= spec.x_j
-    assert w >= 0.0, "negative width cannot occur for positive total potential"
-    return w, a
-
-
 def w_sc_from_potential(spec: JunctionSpec, v_total: float,
                         regime: Regime = Regime.GENERAL) -> SolveResult:
     """Solve at an explicit total potential (volts). Used internally and by
     tests probing limits a Bias cannot express (e.g. V_total = 0)."""
-    w, a = _w_from_potential(spec, v_total, regime)
+    a = log_argument(spec, v_total, regime)
+    if a <= 0.0:
+        v_max_reverse = spec.potential_scale * log_argument(spec, 0.0, regime) - spec.v_bi
+        error = PunchThroughError if v_max_reverse > 0.0 else EquilibriumInvalidError
+        raise error(
+            f"log argument {a:g} <= 0 at total potential {v_total:g} V; "
+            f"max reverse bias is {v_max_reverse:g} V",
+            v_max_reverse=v_max_reverse)
+    w = spec.profile.l_d * math.sqrt(-math.log(a))
+    if regime is Regime.GENERAL:
+        w -= spec.x_j
     c_b = spec.eps / w if w > 0.0 else math.inf
     return SolveResult(total_potential=v_total, w_sc=w, c_b=c_b,
                        regime=regime, log_argument=a)
 
 
 def w_sc_general(spec: JunctionSpec, bias: Bias) -> SolveResult:
-    return w_sc_from_potential(spec, total_potential(spec, bias), Regime.GENERAL)
+    return solve(spec, bias, Regime.GENERAL)
 
 
 def w_sc_shallow(spec: JunctionSpec, bias: Bias) -> SolveResult:
-    return w_sc_from_potential(spec, total_potential(spec, bias), Regime.SHALLOW)
+    return solve(spec, bias, Regime.SHALLOW)
 
 
 def w_sc_deep(spec: JunctionSpec, bias: Bias) -> SolveResult:
-    return w_sc_from_potential(spec, total_potential(spec, bias), Regime.DEEP)
-
-
-_SOLVERS = {
-    Regime.GENERAL: w_sc_general,
-    Regime.SHALLOW: w_sc_shallow,
-    Regime.DEEP: w_sc_deep,
-}
+    return solve(spec, bias, Regime.DEEP)
 
 
 def solve(spec: JunctionSpec, bias: Bias, regime: str | Regime = "general") -> SolveResult:
     """Regime-dispatching entry point; "auto" always picks general."""
-    if regime == "auto":
-        regime = Regime.GENERAL
-    elif isinstance(regime, str):
-        regime = Regime(regime)
-    return _SOLVERS[regime](spec, bias)
+    regime = Regime.GENERAL if regime == "auto" else Regime(regime)
+    return w_sc_from_potential(spec, total_potential(spec, bias), regime)
 
 
 def capacitance(spec: JunctionSpec, bias: Bias, regime: str | Regime = "general") -> float:

@@ -10,10 +10,10 @@ import math
 from dataclasses import dataclass
 
 from .closedform import (Bias, JunctionSpec, Regime, default_vbi, solve,
-                         total_potential, validity_window)
+                         validity_window)
 from .doping import GaussianProfile, Polarity
 from .errors import (CurveFormatError, InsufficientDataError, JunctionError,
-                     UnfittableDataError)
+                     PunchThroughError, UnfittableDataError)
 from .physcore import Material
 
 CSV_HEADER = "v_bias_V,c_b_F_per_m2,w_sc_m"
@@ -31,11 +31,14 @@ class CvCurve:
     def __post_init__(self):
         prev = -math.inf
         for v, c, w in self.points:
-            if v <= prev:
-                raise CurveFormatError(f"bias values must be strictly increasing; "
+            if not prev < v < math.inf:
+                raise CurveFormatError(f"bias values must be finite and strictly increasing; "
                                        f"{v:g} V follows {prev:g} V")
-            if c <= 0.0:
-                raise CurveFormatError(f"capacitance must be positive, got {c:g} at {v:g} V")
+            if not 0.0 < c < math.inf:
+                raise CurveFormatError(f"capacitance must be finite and positive, "
+                                       f"got {c:g} at {v:g} V")
+            if w is not None and not math.isfinite(w):
+                raise CurveFormatError(f"width must be finite, got {w:g} at {v:g} V")
             prev = v
 
     def __len__(self):
@@ -49,16 +52,14 @@ def sweep(spec: JunctionSpec, v_start: float, v_stop: float, n_points: int,
         raise ValueError(f"need at least 2 points, got {n_points}")
     if v_stop <= v_start:
         raise ValueError(f"need v_start < v_stop, got [{v_start}, {v_stop}]")
-    window = validity_window(spec)
-    grid = [v_start + (v_stop - v_start) * i / (n_points - 1) for i in range(n_points)]
-    for v in grid:
-        if v >= window.v_max_reverse or -v >= window.v_max_forward:
-            raise JunctionError(
-                f"bias {v:g} V outside validity window "
-                f"(forward < {window.v_max_forward:g} V, reverse < {window.v_max_reverse:g} V)")
     pts = []
-    for v in grid:
-        r = solve(spec, Bias.from_signed(v), regime)
+    for i in range(n_points):
+        v = v_start + (v_stop - v_start) * i / (n_points - 1)
+        try:
+            r = solve(spec, Bias.from_signed(v), regime)
+        except PunchThroughError as e:
+            raise type(e)(f"bias {v:g} V outside validity window: {e}",
+                          v_max_reverse=e.v_max_reverse) from e
         pts.append((v, r.c_b, r.w_sc))
     return CvCurve(points=tuple(pts), spec_echo=spec)
 
@@ -111,8 +112,11 @@ def deserialize(data: bytes, fmt: str = "csv") -> CvCurve:
             obj = json.loads(data.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise CurveFormatError(f"invalid JSON: {e}") from e
-        pts = tuple((p["v_bias"], p["c_b"], p.get("w_sc")) for p in obj["points"])
-        spec = None if obj.get("spec") is None else _spec_from_dict(obj["spec"])
+        try:
+            pts = tuple((p["v_bias"], p["c_b"], p.get("w_sc")) for p in obj["points"])
+            spec = None if obj.get("spec") is None else _spec_from_dict(obj["spec"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise CurveFormatError(f"malformed JSON curve: {type(e).__name__}: {e}") from e
         return CvCurve(points=pts, spec_echo=spec)
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")

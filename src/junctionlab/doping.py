@@ -30,6 +30,9 @@ class GaussianProfile:
     polarity: Polarity = Polarity.DONOR_INTO_P
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.n0, self.l_d, self.n_b))):
+            raise ValueError(f"profile parameters must be finite, got "
+                             f"n0 = {self.n0}, l_d = {self.l_d}, n_b = {self.n_b}")
         if self.n_b <= 0.0:
             raise NoJunctionError(f"background concentration must be positive, got {self.n_b}")
         if self.n0 <= self.n_b:

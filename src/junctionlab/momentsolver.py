@@ -14,7 +14,7 @@ only reflects the choice of potential reference.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from scipy.integrate import IntegrationWarning, quad as _scipy_quad
@@ -121,13 +121,21 @@ def _as_eps(eps) -> tuple[Callable[[float], float], list[float], float]:
     return (lambda x: value), [], math.inf
 
 
+def _segmented_quad(fn: Callable[[float], float], a: float, b: float, breaks) -> float:
+    """Integral of fn over [a, b], one quadrature per piece between the
+    breaks that lie strictly inside, summed left to right."""
+    total, lo = 0.0, a
+    for p in sorted(p for p in breaks if a < p < b):
+        total += quad(fn, lo, p, **_QUAD_OPTS)[0]
+        lo = p
+    return total + quad(fn, lo, b, **_QUAD_OPTS)[0]
+
+
 @dataclass(frozen=True)
 class ScrSolution:
     x_left: float
     x_right: float
     moment_value: float           # magnitude of the moment integral, volts
-    potential_drop: float         # magnitude of u(x_right) - u(x_left), volts
-    field_samples: list = field(default_factory=list)
 
 
 def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
@@ -150,25 +158,12 @@ def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
             raise ArithmeticError(f"non-finite integrand at x = {x:g} m")
         return v
 
-    pts = sorted(p for p in (*eps_breaks, *rho.steps) if a < p < b)
-    total = 0.0
-    lo = a
-    for p in pts:
-        total += quad(integrand, lo, p, **_QUAD_OPTS)[0]
-        lo = p
-    total += quad(integrand, lo, b, **_QUAD_OPTS)[0]
-    return total
+    return _segmented_quad(integrand, a, b, (*eps_breaks, *rho.steps))
 
 
 def total_charge(rho: ChargeProfile, a: float, b: float) -> float:
     """Integral of rho over [a, b], C/m^2."""
-    pts = sorted(p for p in rho.steps if a < p < b)
-    total = 0.0
-    lo = a
-    for p in (*pts, b):
-        total += quad(rho.fn, lo, p, **_QUAD_OPTS)[0]
-        lo = p
-    return total
+    return _segmented_quad(rho.fn, a, b, rho.steps)
 
 
 def _moment_supremum(rho: ChargeProfile, eps, x_start: float) -> float:
@@ -238,8 +233,7 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
 
     x_right = brentq(f, lo, hi, xtol=1e-18, rtol=8.9e-16)
     m = abs(moment_integral(rho, eps, x_start, x_right))
-    return ScrSolution(x_left=x_start, x_right=x_right,
-                       moment_value=m, potential_drop=m)
+    return ScrSolution(x_left=x_start, x_right=x_right, moment_value=m)
 
 
 def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSolution:
@@ -291,8 +285,7 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
     x_right = brentq(f, lo, hi, xtol=1e-18, rtol=8.9e-16)
     x_left = left_for(x_right)
     m = abs(moment_integral(rho, eps, x_left, x_right))
-    return ScrSolution(x_left=x_left, x_right=x_right,
-                       moment_value=m, potential_drop=m)
+    return ScrSolution(x_left=x_left, x_right=x_right, moment_value=m)
 
 
 def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
@@ -308,25 +301,19 @@ def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
     eps_of_x, eps_breaks, _ = _as_eps(eps)
     xs = [x_left + (x_right - x_left) * i / (n_samples - 1) for i in range(n_samples)]
 
-    def seg(fn, a, b):
-        pts = sorted(p for p in (*rho.steps, *eps_breaks) if a < p < b)
-        total, lo = 0.0, a
-        for p in (*pts, b):
-            total += quad(fn, lo, p, **_QUAD_OPTS)[0]
-            lo = p
-        return total
-
+    breaks = (*rho.steps, *eps_breaks)
     out = []
     e_acc = 0.0
     prev = xs[0]
     for x in xs:
         if x > prev:
-            e_acc += seg(lambda t: rho.fn(t) / eps_of_x(t), prev, x)
+            e_acc += _segmented_quad(lambda t: rho.fn(t) / eps_of_x(t), prev, x, breaks)
             prev = x
         if x == x_left:
             u = 0.0
         else:
-            u = -seg(lambda t: (x - t) * rho.fn(t) / eps_of_x(t), x_left, x)
+            u = -_segmented_quad(lambda t: (x - t) * rho.fn(t) / eps_of_x(t), x_left, x,
+                                 breaks)
         out.append((x, e_acc, u))
     return out
 

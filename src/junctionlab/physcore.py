@@ -5,6 +5,7 @@ C/m^3, m^-3. Device-physics units (cm^-3, um) are converted exactly once
 at the CLI boundary.
 """
 
+import math
 from dataclasses import dataclass
 
 # CODATA / SI defined values
@@ -24,12 +25,12 @@ class Material:
     temp_ref: float
 
     def __post_init__(self):
-        if self.eps_r <= 1.0:
-            raise ValueError(f"eps_r must exceed 1, got {self.eps_r}")
-        if self.n_i <= 0.0:
-            raise ValueError(f"n_i must be positive, got {self.n_i}")
-        if self.temp_ref <= 0.0:
-            raise ValueError(f"temp_ref must be positive, got {self.temp_ref}")
+        if not 1.0 < self.eps_r < math.inf:
+            raise ValueError(f"eps_r must be finite and exceed 1, got {self.eps_r}")
+        if not 0.0 < self.n_i < math.inf:
+            raise ValueError(f"n_i must be finite and positive, got {self.n_i}")
+        if not 0.0 < self.temp_ref < math.inf:
+            raise ValueError(f"temp_ref must be finite and positive, got {self.temp_ref}")
 
     @property
     def eps(self) -> float:

@@ -1,4 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import junctionlab.cli as cli
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(argv, capsys):
@@ -185,3 +194,63 @@ class TestMaterialsCmd:
         # cm^-3 in, cm^-3 out, no stray powers of ten
         _, out, _ = run(["materials"], capsys)
         assert "n_i = 1e+10 cm^-3" in out  # Si
+
+
+class TestExitCodes:
+    def test_out_of_window_sweep_exit_2(self, tmp_path, capsys):
+        code, _, err = run(["sweep", *WORKED, "--vstart", "0", "--vstop", "100",
+                            "--steps", "11", "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert "bias 80 V" in err
+
+    def test_deep_sweep_past_general_bound(self, tmp_path, capsys):
+        out_file = tmp_path / "deep.csv"
+        code, _, _ = run(["sweep", *WORKED, "--xj", "0.1", "--regime", "deep",
+                          "--vstart", "0", "--vstop", "77325", "--steps", "5",
+                          "--out", str(out_file)], capsys)
+        assert code == 0
+        assert len(out_file.read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize("flags", [["--ld", "-1"], ["--ld", "10", "--temp", "-3"],
+                                       ["--di", "-1", "--td", "10"]])
+    def test_invalid_junction_flag_exit_64(self, flags, capsys):
+        code, _, err = run(["solve", "--n0", "1e18", "--nb", "1e15", *flags,
+                            "--bias", "1"], capsys)
+        assert code == 64
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--n0", "--nb", "--ld", "--xj", "--vbi",
+                                      "--temp", "--bias"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_exit_64(self, flag, value, capsys):
+        argv = {"--n0": "1e18", "--nb": "1e15", "--ld": "10", "--bias": "1"}
+        argv[flag] = value
+        try:
+            code = cli.main(["solve", *(t for kv in argv.items() for t in kv)])
+        except SystemExit as e:
+            code = e.code
+        assert code == 64
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_row_in_curve_exit_65(self, tmp_path, capsys):
+        f = tmp_path / "nan.csv"
+        f.write_text("v_bias_V,c_b_F_per_m2\n0.0,1e-4\nnan,9e-5\n2.0,8e-5\n"
+                     "3.0,7e-5\n4.0,6e-5\n")
+        code, _, _ = run(["fit", "--data", str(f), "--nb", "1e15"], capsys)
+        assert code == 65
+
+    def test_json_curve_missing_key_exit_65(self, tmp_path, capsys):
+        f = tmp_path / "missing.json"
+        f.write_text('{"points": [{"v_bias": 0.0, "w_sc": 1e-7}], "spec": null}')
+        code, _, err = run(["fit", "--data", str(f), "--nb", "1e15"], capsys)
+        assert code == 65
+        assert "c_b" in err
+
+    def test_nan_bias_under_optimize(self):
+        # python -O strips asserts, so the rejection must not rest on one
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-O", "-m", "junctionlab.cli", "solve",
+                               *WORKED, "--bias", "nan"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 64
+        assert "finite" in proc.stderr and "Traceback" not in proc.stderr

@@ -244,3 +244,38 @@ def test_spec_invariants():
         JunctionSpec(material=SI, profile=WORKED.profile, temp=-1.0)
     with pytest.raises(ValueError):
         JunctionSpec(material=SI, profile=WORKED.profile, x_j=-1e-6)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_bias_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        Bias(value, "reverse")
+    with pytest.raises(ValueError):
+        Bias.from_signed(value)
+
+
+@pytest.mark.parametrize("field", ["temp", "x_j", "v_bi"])
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_spec_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        JunctionSpec(material=SI, profile=WORKED.profile, **{field: value})
+
+
+def test_deep_punch_through_carries_the_deep_bound():
+    # with a shallow x_j the deep regime's bound lies above the general one
+    spec = JunctionSpec(material=SI, profile=WORKED.profile, x_j=1e-7)
+    deep_bound = spec.potential_scale * log_argument(spec, 0.0, Regime.DEEP) - spec.v_bi
+    assert validity_window(spec).v_max_reverse < deep_bound
+    with pytest.raises(PunchThroughError) as exc:
+        w_sc_deep(spec, Bias(77400.0, "reverse"))
+    assert exc.value.v_max_reverse == deep_bound
+
+
+def test_equilibrium_invalid_from_solve():
+    spec = JunctionSpec(material=SI, profile=GaussianProfile(n0=1e24, l_d=1e-6, n_b=1e21))
+    with pytest.raises(EquilibriumInvalidError) as exc:
+        solve(spec, Bias(0.0, "reverse"))
+    assert exc.value.v_max_reverse <= 0.0

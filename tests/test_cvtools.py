@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from junctionlab import (Bias, CvCurve, GaussianProfile, JunctionSpec,
                          deserialize, fit, get_material, serialize, solve,
                          sweep)
 from junctionlab.cvtools import CSV_HEADER
-from junctionlab.errors import (CurveFormatError, InsufficientDataError,
-                                JunctionError)
+from junctionlab.errors import (CurveFormatError, FlatBandError,
+                                InsufficientDataError, JunctionError,
+                                PunchThroughError)
 
 SI = get_material("Si")
 WORKED = JunctionSpec(material=SI, profile=GaussianProfile(n0=1e24, l_d=1e-5, n_b=1e21))
@@ -153,3 +155,64 @@ class TestFit:
         curve = sweep(self.truth, 0.0, 1.0, 4)
         with pytest.raises(InsufficientDataError):
             fit(curve, SI, 300.0, 5e20)
+
+
+class TestDeepSweep:
+    """sweep leaves validity to solve, so each regime keeps its own window."""
+
+    SPEC = JunctionSpec(material=SI, profile=WORKED.profile, x_j=1e-7)
+
+    def test_deep_sweep_past_the_general_bound(self):
+        curve = sweep(self.SPEC, 0.0, 77325.0, 5, "deep")
+        assert len(curve) == 5
+        assert_allclose(curve.points[-1][2], 31.48e-6, rtol=1e-3)
+        for v, c, w in curve.points:
+            r = solve(self.SPEC, Bias.from_signed(v), "deep")
+            assert c == r.c_b and w == r.w_sc
+
+    def test_past_the_deep_bound(self):
+        with pytest.raises(PunchThroughError, match="77400") as exc:
+            sweep(self.SPEC, 0.0, 77400.0, 5, "deep")
+        scale = self.SPEC.potential_scale
+        assert exc.value.v_max_reverse == scale * 1.0 - self.SPEC.v_bi
+
+    def test_forward_past_flat_band(self):
+        with pytest.raises(FlatBandError):
+            sweep(WORKED, -1.0, 0.0, 5)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("point", [(math.nan, 1e-4, None), (math.inf, 1e-4, None),
+                                       (0.0, math.nan, None), (0.0, math.inf, 1e-7),
+                                       (0.0, 1e-4, math.nan), (0.0, 1e-4, -math.inf)])
+    def test_curve_rejects_non_finite(self, point):
+        with pytest.raises(CurveFormatError):
+            CvCurve(points=(point,))
+
+    def test_csv_nan_row(self):
+        data = (CSV_HEADER + "\n0.0,1e-4,1e-7\nnan,1e-4,1e-7\n").encode()
+        with pytest.raises(CurveFormatError):
+            deserialize(data, "csv")
+
+    def test_json_nan_value(self):
+        data = b'{"points": [{"v_bias": 0.0, "c_b": NaN, "w_sc": null}], "spec": null}'
+        with pytest.raises(CurveFormatError):
+            deserialize(data, "json")
+
+
+@pytest.mark.parametrize("data", [
+    b'{"points": [{"v_bias": 0.0, "w_sc": null}], "spec": null}',
+    b'{"spec": null}',
+    b'{"points": [[0.0, 1e-4]], "spec": null}',
+    b'[1, 2]',
+])
+def test_json_missing_key_is_format_error(data):
+    with pytest.raises(CurveFormatError):
+        deserialize(data, "json")
+
+
+def test_json_bad_spec_is_format_error():
+    obj = json.loads(serialize(sweep(WORKED, 0.0, 1.0, 3), "json"))
+    del obj["spec"]["profile"]["n0"]
+    with pytest.raises(CurveFormatError):
+        deserialize(json.dumps(obj).encode(), "json")

@@ -136,3 +136,12 @@ class TestChargeDensity:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             charge_density(self.profile, 0.0, "bogus")
+
+
+@pytest.mark.parametrize("field", ["n0", "l_d", "n_b"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_non_finite(field, value):
+    params = dict(n0=1e24, l_d=1e-5, n_b=1e21)
+    params[field] = value
+    with pytest.raises(ValueError):
+        GaussianProfile(**params)

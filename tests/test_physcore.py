@@ -65,3 +65,12 @@ def test_thermal_voltage_strictly_increasing(t, factor):
 def test_unknown_material_lookup():
     with pytest.raises(KeyError):
         get_material("unobtainium")
+
+
+@pytest.mark.parametrize("field", ["eps_r", "n_i", "temp_ref"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_material_rejects_non_finite(field, value):
+    params = dict(name="bad", eps_r=11.7, n_i=1e16, temp_ref=300.0)
+    params[field] = value
+    with pytest.raises(ValueError):
+        Material(**params)

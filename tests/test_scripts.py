@@ -1,0 +1,20 @@
+"""The example scripts run end to end against the public API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script", ["worked_example.py", "one_sided_approximation_report.py"])
+def test_script_exits_0(script):
+    env = dict(os.environ,
+               PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
