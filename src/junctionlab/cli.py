@@ -4,6 +4,14 @@ Device-physics units at the boundary (cm^-3, um, cm^2/s); everything
 behind the parser is SI. Exit codes: 0 ok, 2 punch-through / out of
 window, 3 fit did not converge, 4 oracle deviation above threshold,
 64 usage, 65 bad data, 73 unwritable output.
+
+Library errors that reach ``main`` map to an exit code by class, most
+specific first: CurveFormatError, InsufficientDataError and
+UnfittableDataError -> 65 ("bad data"); PunchThroughError -> 2
+("punch-through"); any other JunctionError -> 2 ("error"); any other
+ValueError -> 64 ("error"). A bad junction flag is a usage error (64)
+whatever it raises. `solve` prints the validity window of the regime it
+solves.
 """
 
 import argparse
@@ -12,10 +20,10 @@ import os
 import sys
 
 from . import closedform, cvtools, momentsolver
-from .closedform import Bias, JunctionSpec, Regime
+from .closedform import Bias, JunctionSpec
 from .doping import DiffusionRecipe, GaussianProfile, diffusion_length
 from .errors import (CurveFormatError, InsufficientDataError, JunctionError,
-                     PunchThroughError, UnreachablePotentialError)
+                     PunchThroughError, UnfittableDataError)
 from .physcore import Material, builtin_materials
 
 EXIT_OK = 0
@@ -106,12 +114,16 @@ def _add_junction_flags(p: argparse.ArgumentParser):
     p.add_argument("--regime", choices=["general", "shallow", "deep"], default="general")
 
 
-def _build_spec(args) -> JunctionSpec:
+def _material(name: str) -> Material:
     table = _material_table()
-    if args.material not in table:
-        raise CliError(f"unknown material {args.material!r}; known: "
-                       + ", ".join(sorted(table)), EXIT_USAGE)
-    material = table[args.material]
+    if name not in table:
+        raise CliError(f"unknown material {name!r}; known: " + ", ".join(sorted(table)),
+                       EXIT_USAGE)
+    return table[name]
+
+
+def _build_spec(args) -> JunctionSpec:
+    material = _material(args.material)
     if args.ld is None and (args.di is None or args.td is None):
         raise CliError("need --ld or both --di and --td", EXIT_USAGE)
     try:
@@ -128,7 +140,7 @@ def _build_spec(args) -> JunctionSpec:
 
 
 def _solve_report(spec, bias, regime) -> list[str]:
-    window = closedform.validity_window(spec)
+    window = closedform.validity_window(spec, regime)
     result = closedform.solve(spec, bias, regime)
     return [
         f"material: {spec.material.name}  T = {spec.temp:g} K",
@@ -145,28 +157,14 @@ def _solve_report(spec, bias, regime) -> list[str]:
 
 def cmd_solve(args) -> int:
     spec = _build_spec(args)
-    bias = Bias.from_signed(args.bias)
-    try:
-        for line in _solve_report(spec, bias, args.regime):
-            print(line)
-    except PunchThroughError as e:
-        print(f"punch-through: {e}", file=sys.stderr)
-        return EXIT_PUNCH_THROUGH
-    except JunctionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PUNCH_THROUGH
+    for line in _solve_report(spec, Bias.from_signed(args.bias), args.regime):
+        print(line)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     spec = _build_spec(args)
-    try:
-        curve = cvtools.sweep(spec, args.vstart, args.vstop, args.steps, args.regime)
-    except JunctionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PUNCH_THROUGH
-    except ValueError as e:
-        raise CliError(str(e), EXIT_USAGE)
+    curve = cvtools.sweep(spec, args.vstart, args.vstop, args.steps, args.regime)
     data = cvtools.serialize(curve, args.format)
     try:
         with open(args.out, "wb") as fh:
@@ -188,28 +186,13 @@ def cmd_fit(args) -> int:
         print(f"cannot read {args.data}: {e}", file=sys.stderr)
         return EXIT_DATA
     fmt = "json" if args.data.endswith(".json") else "csv"
-    table = _material_table()
-    if args.material not in table:
-        raise CliError(f"unknown material {args.material!r}", EXIT_USAGE)
+    material = _material(args.material)
     guess = None
     if args.guess_n0 is not None and args.guess_ld is not None:
         guess = (args.guess_n0 * CM3_TO_M3, args.guess_ld * UM_TO_M,
                  args.guess_vbi if args.guess_vbi is not None else 0.7)
-    try:
-        curve = cvtools.deserialize(raw, fmt)
-        result = cvtools.fit(curve, table[args.material], args.temp,
-                             args.nb * CM3_TO_M3, fit_vbi=args.fit_vbi,
-                             initial_guess=guess)
-    except CurveFormatError as e:
-        where = f" (line {e.line})" if e.line is not None else ""
-        print(f"bad data{where}: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except InsufficientDataError as e:
-        print(f"bad data: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except JunctionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+    result = cvtools.fit(cvtools.deserialize(raw, fmt), material, args.temp,
+                         args.nb * CM3_TO_M3, fit_vbi=args.fit_vbi, initial_guess=guess)
     print(f"N0 = {result.n0_hat / CM3_TO_M3:.6g} cm^-3")
     print(f"L_d = {result.ld_hat / UM_TO_M:.6g} um")
     print(f"V_bi = {result.vbi_hat:.6g} V")
@@ -221,21 +204,13 @@ def cmd_fit(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = _build_spec(args)
-    bias = Bias.from_signed(args.bias)
-    try:
-        result = closedform.solve(spec, bias, args.regime)
-        v_total = result.total_potential
-        if args.model == "paper":
-            rho = momentsolver.ChargeProfile.paper(spec.profile)
-        else:
-            rho = momentsolver.ChargeProfile.net_magnitude(spec.profile)
-        sol = momentsolver.solve_one_sided(rho, spec.eps, spec.x_j, v_total)
-    except PunchThroughError as e:
-        print(f"punch-through: {e}", file=sys.stderr)
-        return EXIT_PUNCH_THROUGH
-    except (UnreachablePotentialError, JunctionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PUNCH_THROUGH
+    result = closedform.solve(spec, Bias.from_signed(args.bias), args.regime)
+    v_total = result.total_potential
+    if args.model == "paper":
+        rho = momentsolver.ChargeProfile.paper(spec.profile)
+    else:
+        rho = momentsolver.ChargeProfile.net_magnitude(spec.profile)
+    sol = momentsolver.solve_one_sided(rho, spec.eps, spec.x_j, v_total)
     w_numeric = sol.x_right - sol.x_left
     dev = abs(w_numeric - result.w_sc)
     rel = dev / result.w_sc if result.w_sc > 0 else math.inf
@@ -244,22 +219,19 @@ def cmd_oracle(args) -> int:
     print(f"numerical  W_SC = {w_numeric / UM_TO_M:.9g} um")
     print(f"deviation = {dev / UM_TO_M:.6g} um ({rel:.6g} relative)")
 
-    two_sided = None
+    # the emitted profile is that of the last solve
+    rho_emit, xl, xr = rho, sol.x_left, sol.x_right
     if args.two_sided:
         rho_net = momentsolver.ChargeProfile.net(spec.profile)
         two_sided = momentsolver.solve_two_sided(rho_net, spec.eps, spec.x_j, v_total)
-        w2 = two_sided.x_right - two_sided.x_left
+        rho_emit, xl, xr = rho_net, two_sided.x_left, two_sided.x_right
+        w2 = xr - xl
         print(f"two-sided net W_SC = {w2 / UM_TO_M:.9g} um "
-              f"[{two_sided.x_left / UM_TO_M:.9g}, {two_sided.x_right / UM_TO_M:.9g}] um")
+              f"[{xl / UM_TO_M:.9g}, {xr / UM_TO_M:.9g}] um")
         print(f"two-sided vs closed-form deviation = "
               f"{abs(w2 - result.w_sc) / result.w_sc:.6g} relative (diagnostic)")
 
     if args.emit_profile:
-        if two_sided is not None:
-            rho_emit = momentsolver.ChargeProfile.net(spec.profile)
-            xl, xr = two_sided.x_left, two_sided.x_right
-        else:
-            rho_emit, xl, xr = rho, sol.x_left, sol.x_right
         samples = momentsolver.reconstruct_field_potential(rho_emit, spec.eps, xl, xr, 201)
         try:
             with open(args.emit_profile, "w", encoding="utf-8", newline="\n") as fh:
@@ -333,6 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (error class, stderr prefix, exit code) for library errors reaching
+# main; the first row whose class matches wins, so the most specific
+# come first (every JunctionError is a ValueError).
+_ERROR_EXITS = (
+    ((CurveFormatError, InsufficientDataError, UnfittableDataError), "bad data", EXIT_DATA),
+    (PunchThroughError, "punch-through", EXIT_PUNCH_THROUGH),
+    (JunctionError, "error", EXIT_PUNCH_THROUGH),
+    (ValueError, "error", EXIT_USAGE),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -341,6 +324,12 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except ValueError as e:
+        prefix, code = next((p, c) for cls, p, c in _ERROR_EXITS if isinstance(e, cls))
+        line = getattr(e, "line", None)  # CurveFormatError knows its row
+        where = f" (line {line})" if line is not None else ""
+        print(f"{prefix}{where}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

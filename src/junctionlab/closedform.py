@@ -29,6 +29,11 @@ class Regime(Enum):
     DEEP = "deep"
 
 
+def _regime(regime: str | Regime) -> Regime:
+    """A regime name (or a Regime) as a Regime; "auto" means general."""
+    return Regime.GENERAL if regime == "auto" else Regime(regime)
+
+
 @dataclass(frozen=True)
 class Bias:
     """Non-negative magnitude plus direction. ``from_signed`` maps the
@@ -125,18 +130,18 @@ def total_potential(spec: JunctionSpec, bias: Bias) -> float:
     return spec.v_bi - bias.value
 
 
-def validity_window(spec: JunctionSpec) -> ValidityWindow:
-    """Bias range keeping the log argument positive.
+def validity_window(spec: JunctionSpec, regime: str | Regime = "general") -> ValidityWindow:
+    """Bias range keeping the log argument of ``regime`` positive.
 
     v_max_reverse is the exclusive supremum of admissible V_R; when it is
     <= 0 the formula cannot represent this junction even at equilibrium.
     """
-    exp_term = math.exp(-(spec.x_j / spec.profile.l_d) ** 2)
-    v_max_reverse = spec.potential_scale * exp_term - spec.v_bi
+    supportable = spec.potential_scale * log_argument(spec, 0.0, _regime(regime))
+    v_max_reverse = supportable - spec.v_bi
     if v_max_reverse <= 0.0:
         raise EquilibriumInvalidError(
             f"junction invalid even unbiased: supportable potential "
-            f"{spec.potential_scale * exp_term:g} V <= v_bi = {spec.v_bi:g} V",
+            f"{supportable:g} V <= v_bi = {spec.v_bi:g} V",
             v_max_reverse=v_max_reverse)
     return ValidityWindow(v_max_reverse=v_max_reverse, v_max_forward=spec.v_bi)
 
@@ -155,9 +160,8 @@ def w_sc_from_potential(spec: JunctionSpec, v_total: float,
     tests probing limits a Bias cannot express (e.g. V_total = 0)."""
     a = log_argument(spec, v_total, regime)
     if a <= 0.0:
-        v_max_reverse = spec.potential_scale * log_argument(spec, 0.0, regime) - spec.v_bi
-        error = PunchThroughError if v_max_reverse > 0.0 else EquilibriumInvalidError
-        raise error(
+        v_max_reverse = validity_window(spec, regime).v_max_reverse
+        raise PunchThroughError(
             f"log argument {a:g} <= 0 at total potential {v_total:g} V; "
             f"max reverse bias is {v_max_reverse:g} V",
             v_max_reverse=v_max_reverse)
@@ -183,8 +187,7 @@ def w_sc_deep(spec: JunctionSpec, bias: Bias) -> SolveResult:
 
 def solve(spec: JunctionSpec, bias: Bias, regime: str | Regime = "general") -> SolveResult:
     """Regime-dispatching entry point; "auto" always picks general."""
-    regime = Regime.GENERAL if regime == "auto" else Regime(regime)
-    return w_sc_from_potential(spec, total_potential(spec, bias), regime)
+    return w_sc_from_potential(spec, total_potential(spec, bias), _regime(regime))
 
 
 def capacitance(spec: JunctionSpec, bias: Bias, regime: str | Regime = "general") -> float:

@@ -117,6 +117,10 @@ def deserialize(data: bytes, fmt: str = "csv") -> CvCurve:
             spec = None if obj.get("spec") is None else _spec_from_dict(obj["spec"])
         except (KeyError, TypeError, ValueError) as e:
             raise CurveFormatError(f"malformed JSON curve: {type(e).__name__}: {e}") from e
+        for v, c, w in pts:
+            for value in (v, c) if w is None else (v, c, w):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise CurveFormatError(f"non-numeric value {value!r} in JSON curve")
         return CvCurve(points=pts, spec_echo=spec)
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")

@@ -125,10 +125,20 @@ def _segmented_quad(fn: Callable[[float], float], a: float, b: float, breaks) ->
     """Integral of fn over [a, b], one quadrature per piece between the
     breaks that lie strictly inside, summed left to right."""
     total, lo = 0.0, a
-    for p in sorted(p for p in breaks if a < p < b):
+    for p in sorted({p for p in breaks if a < p < b}):
         total += quad(fn, lo, p, **_QUAD_OPTS)[0]
         lo = p
     return total + quad(fn, lo, b, **_QUAD_OPTS)[0]
+
+
+def _moment_integrand(rho: ChargeProfile, eps_of_x) -> Callable[[float], float]:
+    """x*rho(x)/eps(x), raising on a non-finite value."""
+    def integrand(x):
+        v = x * rho.fn(x) / eps_of_x(x)
+        if not math.isfinite(v):
+            raise ArithmeticError(f"non-finite integrand at x = {x:g} m")
+        return v
+    return integrand
 
 
 @dataclass(frozen=True)
@@ -151,14 +161,7 @@ def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
     if b == a:
         return 0.0
     eps_of_x, eps_breaks, _ = _as_eps(eps)
-
-    def integrand(x):
-        v = x * rho.fn(x) / eps_of_x(x)
-        if not math.isfinite(v):
-            raise ArithmeticError(f"non-finite integrand at x = {x:g} m")
-        return v
-
-    return _segmented_quad(integrand, a, b, (*eps_breaks, *rho.steps))
+    return _segmented_quad(_moment_integrand(rho, eps_of_x), a, b, (*eps_breaks, *rho.steps))
 
 
 def total_charge(rho: ChargeProfile, a: float, b: float) -> float:
@@ -170,19 +173,13 @@ def _moment_supremum(rho: ChargeProfile, eps, x_start: float) -> float:
     """Limit of the moment integral as the right end goes to the support end."""
     hi = rho.x_hi
     if math.isinf(hi):
-        # chunked head so adaptive quadrature cannot miss the near-field
-        # feature, then the tail to infinity
+        # breaks at a few scales past x_start and at `far`, beyond every
+        # step, so adaptive quadrature cannot miss the near-field feature
         eps_of_x, eps_breaks, _ = _as_eps(eps)
         far = max([x_start + 100.0 * rho.scale, *rho.steps, *eps_breaks])
-        total, lo = 0.0, x_start
-        for k in (1.0, 3.0, 10.0, 30.0):
-            b = x_start + k * rho.scale
-            if lo < b < far:
-                total += moment_integral(rho, eps, lo, b)
-                lo = b
-        total += moment_integral(rho, eps, lo, far)
-        total += quad(lambda x: x * rho.fn(x) / eps_of_x(x), far, math.inf, **_QUAD_OPTS)[0]
-        return total
+        heads = [x_start + k * rho.scale for k in (1.0, 3.0, 10.0, 30.0)]
+        return _segmented_quad(_moment_integrand(rho, eps_of_x), x_start, hi,
+                               (*heads, far, *rho.steps, *eps_breaks))
     return moment_integral(rho, eps, x_start, hi)
 
 

@@ -54,6 +54,17 @@ class TestSolve:
                             "--bias", "1"], capsys)
         assert code == 64
 
+    @pytest.mark.parametrize("flags, window", [
+        (["--ld", "1", "--bias", "1"], "reverse < 772.522 V"),
+        (["--ld", "10", "--xj", "0.1", "--bias", "77325"], "reverse < 77328.8 V"),
+    ])
+    def test_deep_regime_prints_deep_window(self, flags, window, capsys):
+        # the general window is invalid (first) or lower (second) here
+        code, out, _ = run(["solve", "--n0", "1e18", "--nb", "1e15", *flags,
+                            "--regime", "deep"], capsys)
+        assert code == 0
+        assert window in out
+
     def test_bad_flag_exit_64(self, capsys):
         try:
             code = cli.main(["solve", "--bogus"])
@@ -245,6 +256,43 @@ class TestExitCodes:
         code, _, err = run(["fit", "--data", str(f), "--nb", "1e15"], capsys)
         assert code == 65
         assert "c_b" in err
+
+    CURVES = {
+        "bad.csv": "v_bias_V,c_b_F_per_m2\n0.0,1e-4\nabc,1\n",
+        "abc.json": '{"points": [{"v_bias": "abc", "c_b": 1e-4}], "spec": null}',
+        "short.csv": "v_bias_V,c_b_F_per_m2\n0.0,1e-4\n1.0,9e-5\n2.0,8e-5\n3.0,7e-5\n",
+        "five.csv": "v_bias_V,c_b_F_per_m2\n0.0,1e-4\n1.0,9e-5\n2.0,8e-5\n3.0,7e-5\n"
+                    "4.0,6e-5\n",
+    }
+
+    # one case per row of cli._ERROR_EXITS, via the error class named
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["fit", "--data", "{tmp}/bad.csv", "--nb", "1e15"], 65,
+         "bad data (line 3): "),                                      # CurveFormatError
+        (["fit", "--data", "{tmp}/abc.json", "--nb", "1e15"], 65,
+         "bad data: non-numeric"),                                    # CurveFormatError
+        (["fit", "--data", "{tmp}/short.csv", "--nb", "1e15"], 65,
+         "bad data: "),                                               # InsufficientDataError
+        (["fit", "--data", "{tmp}/five.csv", "--nb", "1e-30"], 65,
+         "bad data: "),                                               # UnfittableDataError
+        (["solve", *WORKED, "--bias", "100"], 2, "punch-through: "),  # PunchThroughError
+        (["sweep", *WORKED, "--vstart", "0", "--vstop", "100", "--steps", "11",
+          "--out", "{tmp}/x.csv"], 2, "punch-through: bias 80 V"),   # PunchThroughError
+        (["solve", *WORKED, "--bias", "-1"], 2, "error: "),           # FlatBandError
+        (["oracle", *WORKED, "--xj", "0.001", "--bias", "10", "--two-sided"], 2,
+         "error: SCR reaches the surface"),                           # SurfaceReachedError
+        (["fit", "--data", "{tmp}/five.csv", "--nb", "1e15", "--temp", "-3"], 64,
+         "error: "),                                                  # ValueError
+        (["fit", "--data", "{tmp}/five.csv", "--nb", "1e15", "--temp", "0",
+          "--fit-vbi"], 64, "error: "),                               # ValueError
+    ])
+    def test_error_table(self, argv, code, prefix, tmp_path, capsys):
+        for name, text in self.CURVES.items():
+            (tmp_path / name).write_text(text)
+        got, _, err = run([a.format(tmp=tmp_path) for a in argv], capsys)
+        assert got == code
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
 
     def test_nan_bias_under_optimize(self):
         # python -O strips asserts, so the rejection must not rest on one

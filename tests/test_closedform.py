@@ -274,6 +274,31 @@ def test_deep_punch_through_carries_the_deep_bound():
     assert exc.value.v_max_reverse == deep_bound
 
 
+@pytest.mark.parametrize("regime", ["general", "shallow", "deep"])
+def test_window_is_the_punch_through_bound_of_its_regime(regime):
+    spec = JunctionSpec(material=SI, profile=WORKED.profile, x_j=1e-7)
+    with pytest.raises(PunchThroughError) as exc:
+        solve(spec, Bias(77400.0, "reverse"), regime)
+    assert validity_window(spec, regime).v_max_reverse == exc.value.v_max_reverse
+
+
+def test_general_window_formula_unchanged():
+    for spec in [WORKED, *random_specs(20, seed=3)]:
+        exp_term = math.exp(-(spec.x_j / spec.profile.l_d) ** 2)
+        expected = spec.potential_scale * exp_term - spec.v_bi
+        assert validity_window(spec).v_max_reverse == expected
+        assert validity_window(spec, "shallow").v_max_reverse == expected
+
+
+def test_deep_window_where_general_is_invalid():
+    # N0 = 1e18 cm^-3, N_B = 1e15 cm^-3, L_d = 1 um: the exponential term
+    # leaves too little charge in general, none is dropped in deep
+    spec = JunctionSpec(material=SI, profile=GaussianProfile(n0=1e24, l_d=1e-6, n_b=1e21))
+    with pytest.raises(EquilibriumInvalidError):
+        validity_window(spec)
+    assert_allclose(validity_window(spec, "deep").v_max_reverse, 772.522, rtol=1e-6)
+
+
 def test_equilibrium_invalid_from_solve():
     spec = JunctionSpec(material=SI, profile=GaussianProfile(n0=1e24, l_d=1e-6, n_b=1e21))
     with pytest.raises(EquilibriumInvalidError) as exc:

@@ -194,6 +194,14 @@ class TestNonFinite:
         with pytest.raises(CurveFormatError):
             deserialize(data, "csv")
 
+    @pytest.mark.parametrize("point", [
+        b'{"v_bias": "abc", "c_b": 1e-4}', b'{"v_bias": 0.0, "c_b": "x"}',
+        b'{"v_bias": null, "c_b": 1e-4}', b'{"v_bias": 0.0, "c_b": 1e-4, "w_sc": "w"}',
+        b'{"v_bias": true, "c_b": 1e-4}'])
+    def test_json_non_numeric_value(self, point):
+        with pytest.raises(CurveFormatError):
+            deserialize(b'{"points": [' + point + b'], "spec": null}', "json")
+
     def test_json_nan_value(self):
         data = b'{"points": [{"v_bias": 0.0, "c_b": NaN, "w_sc": null}], "spec": null}'
         with pytest.raises(CurveFormatError):
