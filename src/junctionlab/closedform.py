@@ -91,6 +91,12 @@ class JunctionSpec:
             raise ValueError(f"x_j must be finite and >= 0, got {self.x_j}")
         if not 0.0 < self.v_bi < math.inf:
             raise ValueError(f"v_bi must be finite and positive, got {self.v_bi}")
+        try:
+            scale = self.potential_scale
+        except OverflowError:  # l_d ** 2 past the float range
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"q*N0*L_d^2/(2*eps) must be finite and positive, got {scale:g} V")
 
     @property
     def eps(self) -> float:

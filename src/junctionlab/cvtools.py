@@ -110,17 +110,21 @@ def deserialize(data: bytes, fmt: str = "csv") -> CvCurve:
     if fmt == "json":
         try:
             obj = json.loads(data.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except ValueError as e:  # also bad UTF-8 and over-long integers
             raise CurveFormatError(f"invalid JSON: {e}") from e
         try:
             pts = tuple((p["v_bias"], p["c_b"], p.get("w_sc")) for p in obj["points"])
             spec = None if obj.get("spec") is None else _spec_from_dict(obj["spec"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise CurveFormatError(f"malformed JSON curve: {type(e).__name__}: {e}") from e
         for v, c, w in pts:
             for value in (v, c) if w is None else (v, c, w):
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise CurveFormatError(f"non-numeric value {value!r} in JSON curve")
+        try:
+            pts = tuple((float(v), float(c), w if w is None else float(w)) for v, c, w in pts)
+        except OverflowError as e:
+            raise CurveFormatError("number too large for a float in JSON curve") from e
         return CvCurve(points=pts, spec_echo=spec)
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
@@ -160,135 +164,42 @@ class FitResult:
     converged: bool
 
 
-def _nelder_mead(f, x0, step, max_iter=10000):
-    """Deterministic Nelder-Mead simplex: reflection 1, expansion 2,
-    contraction 0.5, shrink 0.5. Converged when the relative decrease of
-    the best objective is < 1e-10 for 5 consecutive iterations."""
-    n = len(x0)
-    simplex = [list(x0)]
-    for i in range(n):
-        v = list(x0)
-        v[i] += step[i]
-        simplex.append(v)
-    fvals = [f(v) for v in simplex]
-
-    def order():
-        idx = sorted(range(n + 1), key=lambda i: fvals[i])
-        return ([simplex[i] for i in idx], [fvals[i] for i in idx])
-
-    simplex, fvals = order()
-    stall = 0
-    it = 0
-    while it < max_iter:
-        it += 1
-        best_before = fvals[0]
-        centroid = [sum(v[j] for v in simplex[:-1]) / n for j in range(n)]
-        worst = simplex[-1]
-        refl = [centroid[j] + (centroid[j] - worst[j]) for j in range(n)]
-        f_refl = f(refl)
-        if f_refl < fvals[0]:
-            expa = [centroid[j] + 2.0 * (centroid[j] - worst[j]) for j in range(n)]
-            f_expa = f(expa)
-            if f_expa < f_refl:
-                simplex[-1], fvals[-1] = expa, f_expa
-            else:
-                simplex[-1], fvals[-1] = refl, f_refl
-        elif f_refl < fvals[-2]:
-            simplex[-1], fvals[-1] = refl, f_refl
-        else:
-            contr = [centroid[j] + 0.5 * (worst[j] - centroid[j]) for j in range(n)]
-            f_contr = f(contr)
-            if f_contr < fvals[-1]:
-                simplex[-1], fvals[-1] = contr, f_contr
-            else:
-                best = simplex[0]
-                for i in range(1, n + 1):
-                    simplex[i] = [best[j] + 0.5 * (simplex[i][j] - best[j]) for j in range(n)]
-                    fvals[i] = f(simplex[i])
-        simplex, fvals = order()
-        rel_dec = (best_before - fvals[0]) / max(abs(best_before), 1e-300)
-        stall = stall + 1 if rel_dec < 1e-10 else 0
-        if stall >= 5:
-            return simplex[0], fvals[0], it, True
-    return simplex[0], fvals[0], it, False
-
-
-def _minimize(f, x0, step0, max_iter=10000):
-    """Drive the simplex with restarts from the incumbent at shrinking
-    steps; a single simplex stalls well short of the floor on this
-    objective. Stops when a restart no longer improves."""
-    x = list(x0)
-    fv = f(x)
-    step = list(step0)
-    total = 0
-    converged = False
-    while total < max_iter:
-        xn, fn, iters, c = _nelder_mead(f, x, step, max_iter=max_iter - total)
-        total += iters
-        improvement = fv - fn
-        if fn < fv:
-            x, fv = xn, fn
-        step = [s * 0.2 for s in step]
-        if c and improvement <= 1e-12 * max(abs(fv), 1e-300):
-            converged = True
-            break
-    return x, fv, total, converged
-
-
-def _model_curve_objective(theta, measured, material, temp, n_b, fit_vbi):
-    """Sum of squared relative residuals plus validity penalties."""
-    ln_n0, ln_ld = theta[0], theta[1]
-    if not (math.isfinite(ln_n0) and math.isfinite(ln_ld)):
-        return 1e30
-    n0 = math.exp(ln_n0)
-    l_d = math.exp(ln_ld)
-    penalty = 0.0
-    if n0 <= n_b:
-        # no junction; drive N0 back above the background
-        return 1e12 * (1.0 + math.log(n_b / n0))
-    profile = GaussianProfile(n0=n0, l_d=l_d, n_b=n_b)
-    if fit_vbi:
-        vbi = theta[2]
-        if vbi < 0.05:
-            penalty += 1e6 * (0.05 - vbi)
-            vbi = 0.05
-        elif vbi > 2.0:
-            penalty += 1e6 * (vbi - 2.0)
-            vbi = 2.0
-    else:
-        try:
-            vbi = default_vbi(profile, material, temp)
-        except JunctionError:
-            return 1e12
+def _residuals(theta, measured, material, temp, n_b, fit_vbi):
+    """Relative residuals (C_model - C_meas)/C_meas, one per point. Where
+    the model is undefined each residual grows with the distance from the
+    valid region, so the solver is led back into it."""
     try:
+        n0 = math.exp(theta[0])
+        if n0 <= n_b:
+            # no junction; drive N0 back above the background
+            return [1e6 * (1.0 + math.log(n_b / n0))] * len(measured)
+        profile = GaussianProfile(n0=n0, l_d=math.exp(theta[1]), n_b=n_b)
+        vbi = theta[2] if fit_vbi else default_vbi(profile, material, temp)
         spec = JunctionSpec(material=material, profile=profile, temp=temp, v_bi=vbi)
         window = validity_window(spec)
-    except JunctionError:
-        return 1e12
-    obj = penalty
+    except (JunctionError, ArithmeticError, ValueError):
+        # no finite junction at this trial point (fit has checked temp)
+        return [1e6] * len(measured)
+    res = []
     for v, c_meas, _ in measured.points:
-        viol = 0.0
         if v >= window.v_max_reverse:
-            viol = v - window.v_max_reverse
+            res.append(1e3 * (1.0 + v - window.v_max_reverse))
         elif -v >= window.v_max_forward:
-            viol = -v - window.v_max_forward
-        if viol > 0.0:
-            obj += 1e6 * viol
-            continue
-        r = solve(spec, Bias.from_signed(v))
-        obj += ((r.c_b - c_meas) / c_meas) ** 2
-    return obj
+            res.append(1e3 * (1.0 - v - window.v_max_forward))
+        else:
+            res.append((solve(spec, Bias.from_signed(v)).c_b - c_meas) / c_meas)
+    return res
 
 
 def _seed_guess(measured, material, temp, n_b, fit_vbi):
-    """Deterministic coarse grid search over (ln N0, ln L_d) to seed the
-    simplex when the caller supplies no initial guess."""
-    vbi0 = 0.7
+    """Deterministic coarse grid over (ln N0, ln L_d), V_bi at 0.7 V, ranked
+    by the sum of squared residuals; the best point starts the fit when the
+    caller supplies no initial guess."""
     best = None
     for ln_n0 in [math.log(10.0 ** e) for e in range(21, 28)]:
         for ln_ld in [math.log(10.0 ** (e / 2.0)) for e in range(-16, -5)]:
-            theta = [ln_n0, ln_ld] + ([vbi0] if fit_vbi else [])
-            val = _model_curve_objective(theta, measured, material, temp, n_b, fit_vbi)
+            theta = [ln_n0, ln_ld] + ([0.7] if fit_vbi else [])
+            val = sum(r * r for r in _residuals(theta, measured, material, temp, n_b, fit_vbi))
             if best is None or val < best[1]:
                 best = (theta, val)
     return best[0]
@@ -300,41 +211,39 @@ def fit(measured: CvCurve, material: Material, temp: float, n_b: float,
     residuals of the closed-form capacitance.
 
     n_b is the assumed background concentration (fixed, not fitted);
-    initial_guess is (N0, L_d, V_bi) in SI when provided. Multi-start
-    simplex from x0 scaled by 0.5 / 1 / 2 on each log-parameter; best
-    objective wins. Deterministic given inputs.
+    initial_guess is (N0, L_d, V_bi) in SI when provided, else the start
+    is the best point of ``_seed_guess``'s grid. One bounded
+    trust-region least-squares solve (scipy ``least_squares``, method
+    ``trf``) over (ln N0, ln L_d[, V_bi]), V_bi within [0.05, 2] V.
+    ``objective`` is the sum of squared residuals at the solution,
+    ``iterations`` the number of residual evaluations (finite-difference
+    Jacobian evaluations not counted) and ``converged`` whether a
+    tolerance, not the evaluation limit, stopped the solve.
+    Deterministic given inputs.
     """
+    from scipy.optimize import least_squares
+
     if len(measured) < 5:
         raise InsufficientDataError(f"need at least 5 points, got {len(measured)}")
-
-    def objective(theta):
-        return _model_curve_objective(theta, measured, material, temp, n_b, fit_vbi)
-
+    if not 0.0 < temp < math.inf:
+        raise ValueError(f"temperature must be finite and positive, got {temp}")
     if initial_guess is not None:
         n0_0, ld_0, vbi_0 = initial_guess
-        x0 = [math.log(n0_0), math.log(ld_0)] + ([vbi_0] if fit_vbi else [])
+        # a guess is only a start: move its V_bi inside the bounds
+        x0 = [math.log(n0_0), math.log(ld_0)] + ([min(max(vbi_0, 0.05), 2.0)] if fit_vbi else [])
     else:
         x0 = _seed_guess(measured, material, temp, n_b, fit_vbi)
+    bounds = (([-math.inf, -math.inf, 0.05], [math.inf, math.inf, 2.0]) if fit_vbi
+              else (-math.inf, math.inf))
+    sol = least_squares(_residuals, x0, bounds=bounds, xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                        max_nfev=2000, args=(measured, material, temp, n_b, fit_vbi))
+    objective = float(sol.fun @ sol.fun)
+    if objective >= 1e12:
+        raise UnfittableDataError("no valid model anywhere the fit searched")
 
-    best = None
-    total_iter = 0
-    for factor in (0.5, 1.0, 2.0):
-        start = [t * factor for t in x0[:2]] + list(x0[2:])
-        step = [0.2, 0.2] + ([0.05] if fit_vbi else [])
-        xmin, fmin, iters, conv = _minimize(objective, start, step)
-        total_iter += iters
-        if math.isfinite(fmin) and (best is None or fmin < best[1]):
-            best = (xmin, fmin, conv)
-    if best is None or best[1] >= 1e12:
-        raise UnfittableDataError("no start produced a valid model anywhere on the data")
-    xmin, fmin, conv = best
-
-    n0_hat = math.exp(xmin[0])
-    ld_hat = math.exp(xmin[1])
-    if fit_vbi:
-        vbi_hat = min(max(xmin[2], 0.05), 2.0)
-    else:
-        vbi_hat = default_vbi(GaussianProfile(n0=n0_hat, l_d=ld_hat, n_b=n_b),
-                              material, temp)
+    n0_hat = math.exp(sol.x[0])
+    ld_hat = math.exp(sol.x[1])
+    vbi_hat = float(sol.x[2]) if fit_vbi else default_vbi(
+        GaussianProfile(n0=n0_hat, l_d=ld_hat, n_b=n_b), material, temp)
     return FitResult(n0_hat=n0_hat, ld_hat=ld_hat, vbi_hat=vbi_hat,
-                     objective=fmin, iterations=total_iter, converged=conv)
+                     objective=objective, iterations=int(sol.nfev), converged=sol.status > 0)

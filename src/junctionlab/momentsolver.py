@@ -38,34 +38,30 @@ _QUAD_OPTS = dict(epsabs=1e-30, epsrel=1e-12, limit=200)
 
 @dataclass(frozen=True)
 class ChargeProfile:
-    """Evaluatable charge density x (m) -> rho (C/m^3) with declared
-    support and step points. ``scale`` is a characteristic length used to
-    seed bracketing searches."""
+    """Evaluatable charge density x (m) -> rho (C/m^3) with the upper end
+    ``x_hi`` of its support and its step points. ``scale`` is a
+    characteristic length used to seed bracketing searches."""
 
     fn: Callable[[float], float]
-    x_lo: float = 0.0
     x_hi: float = math.inf
     steps: tuple = ()
-    model: str = "custom"
     scale: float = 1e-6
 
     @classmethod
     def paper(cls, profile: GaussianProfile) -> "ChargeProfile":
         """Bare Gaussian q*N0*exp(-x^2/L_d^2), the closed forms' integrand."""
-        return cls(fn=lambda x: charge_density(profile, x, "paper"),
-                   model="paper", scale=profile.l_d)
+        return cls(fn=lambda x: charge_density(profile, x, "paper"), scale=profile.l_d)
 
     @classmethod
     def net(cls, profile: GaussianProfile) -> "ChargeProfile":
         """Signed net charge q*(N(x) - N_B); changes sign at x_j."""
-        return cls(fn=lambda x: charge_density(profile, x, "net"),
-                   steps=(), model="net", scale=profile.l_d)
+        return cls(fn=lambda x: charge_density(profile, x, "net"), scale=profile.l_d)
 
     @classmethod
     def net_magnitude(cls, profile: GaussianProfile) -> "ChargeProfile":
         """|net| charge, for one-sided solves on the substrate side."""
         return cls(fn=lambda x: abs(charge_density(profile, x, "net")),
-                   steps=(junction_depth(profile),), model="net", scale=profile.l_d)
+                   steps=(junction_depth(profile),), scale=profile.l_d)
 
     @classmethod
     def step(cls, value: float, x_from: float = 0.0, x_to: float = math.inf,
@@ -74,7 +70,7 @@ class ChargeProfile:
         def fn(x):
             return value if x_from <= x <= x_to else 0.0
         steps = tuple(s for s in (x_from, x_to) if math.isfinite(s))
-        return cls(fn=fn, steps=steps, model="custom-step", scale=scale)
+        return cls(fn=fn, steps=steps, scale=scale)
 
 
 @dataclass(frozen=True)

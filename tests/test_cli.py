@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -145,6 +146,15 @@ class TestFitCmd:
         assert code == 65
         assert "line 3" in err
 
+    def test_stall_sweep_fits_vbi(self, tmp_path, capsys):
+        out_file = tmp_path / "cv.csv"
+        run(["sweep", "--n0", "3.8e18", "--nb", "1.1e15", "--ld", "8.3", "--vstart", "-0.4",
+             "--vstop", "52", "--steps", "31", "--out", str(out_file)], capsys)
+        code, out, _ = run(["fit", "--data", str(out_file), "--nb", "1.1e15", "--fit-vbi"],
+                           capsys)
+        assert code == 0
+        assert "V_bi = 0.81082 V\n" in out
+
     def test_unreadable_file_exit_65(self, capsys):
         code, _, _ = run(["fit", "--data", "/no/such/file.csv", "--nb", "1e15"], capsys)
         assert code == 65
@@ -223,7 +233,8 @@ class TestExitCodes:
         assert len(out_file.read_text().splitlines()) == 6
 
     @pytest.mark.parametrize("flags", [["--ld", "-1"], ["--ld", "10", "--temp", "-3"],
-                                       ["--di", "-1", "--td", "10"]])
+                                       ["--di", "-1", "--td", "10"], ["--ld", "1e300"],
+                                       ["--ld", "1e160"], ["--ld", "1e-200"]])
     def test_invalid_junction_flag_exit_64(self, flags, capsys):
         code, _, err = run(["solve", "--n0", "1e18", "--nb", "1e15", *flags,
                             "--bias", "1"], capsys)
@@ -263,6 +274,8 @@ class TestExitCodes:
         "short.csv": "v_bias_V,c_b_F_per_m2\n0.0,1e-4\n1.0,9e-5\n2.0,8e-5\n3.0,7e-5\n",
         "five.csv": "v_bias_V,c_b_F_per_m2\n0.0,1e-4\n1.0,9e-5\n2.0,8e-5\n3.0,7e-5\n"
                     "4.0,6e-5\n",
+        "big.json": json.dumps({"points": [{"v_bias": 10 ** 400 + k, "c_b": 1e-4}
+                                           for k in range(5)], "spec": None}),
     }
 
     # one case per row of cli._ERROR_EXITS, via the error class named
@@ -285,6 +298,8 @@ class TestExitCodes:
          "error: "),                                                  # ValueError
         (["fit", "--data", "{tmp}/five.csv", "--nb", "1e15", "--temp", "0",
           "--fit-vbi"], 64, "error: "),                               # ValueError
+        (["fit", "--data", "{tmp}/big.json", "--nb", "1e15"], 65,
+         "bad data: number too large"),                               # CurveFormatError
     ])
     def test_error_table(self, argv, code, prefix, tmp_path, capsys):
         for name, text in self.CURVES.items():

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from junctionlab import (Bias, CvCurve, GaussianProfile, JunctionSpec,
                          deserialize, fit, get_material, serialize, solve,
-                         sweep)
+                         sweep, validity_window)
 from junctionlab.cvtools import CSV_HEADER
 from junctionlab.errors import (CurveFormatError, FlatBandError,
                                 InsufficientDataError, JunctionError,
@@ -151,10 +152,68 @@ class TestFit:
         b = fit(self.make_curve(), SI, 300.0, 5e20, fit_vbi=True)
         assert a == b
 
+    def test_search_past_the_float_range(self):
+        # data too flat for any junction above this background: trial points
+        # overflow N0*N_B, which counts as no model there, not as bad input
+        curve = CvCurve(points=tuple((float(k), 1e-3 * (1 - 0.1 * k), None) for k in range(5)))
+        assert math.isfinite(fit(curve, SI, 300.0, 1e22).objective)
+
     def test_insufficient_data(self):
         curve = sweep(self.truth, 0.0, 1.0, 4)
         with pytest.raises(InsufficientDataError):
             fit(curve, SI, 300.0, 5e20)
+
+
+def _panel(seed, count):
+    """Seeded junctions in the acceptance ranges (N0 in [1e22, 1e26] m^-3,
+    10 <= N0/N_B <= 1e4, L_d in [0.1, 100] um), each with a sweep from
+    30-70 % of V_bi forward to 70-95 % of the reverse window."""
+    rng = random.Random(seed)
+    panel = []
+    while len(panel) < count:
+        lg_nb = rng.uniform(19.0, 23.0)
+        lg_n0 = lg_nb + rng.uniform(1.0, min(26.0 - lg_nb, 4.0))
+        profile = GaussianProfile(n0=float(f"{10.0 ** lg_n0:.3g}"),
+                                  l_d=float(f"{10.0 ** rng.uniform(-7.0, -4.0):.3g}"),
+                                  n_b=float(f"{10.0 ** lg_nb:.3g}"))
+        spec = JunctionSpec(material=SI, profile=profile)
+        try:
+            v_max = validity_window(spec).v_max_reverse
+        except JunctionError:
+            continue
+        if v_max > 0.1 * spec.v_bi:
+            panel.append((spec, -rng.uniform(0.3, 0.7) * spec.v_bi,
+                          rng.uniform(0.7, 0.95) * v_max))
+    return panel
+
+
+def assert_recovered(r, spec):
+    assert r.converged
+    assert abs(r.n0_hat - spec.profile.n0) / spec.profile.n0 < 1e-3
+    assert abs(r.ld_hat - spec.profile.l_d) / spec.profile.l_d < 1e-3
+    assert abs(r.vbi_hat - spec.v_bi) / spec.v_bi < 1e-3
+
+
+class TestFitRecovery:
+    """Noiseless curves fit back to their junction within 1e-3."""
+
+    @pytest.mark.parametrize("fit_vbi", [True, False])
+    @pytest.mark.parametrize("spec, v_start, v_stop", _panel(0, 20),
+                             ids=[f"junction{i}" for i in range(20)])
+    def test_seeded_panel(self, spec, v_start, v_stop, fit_vbi):
+        curve = sweep(spec, v_start, v_stop, 51)
+        assert_recovered(fit(curve, SI, 300.0, spec.profile.n_b, fit_vbi=fit_vbi), spec)
+
+    def test_stall_reproduction(self):
+        # a simplex fit once stopped here "converged" with V_bi = 0.806652 V
+        spec = JunctionSpec(material=SI,
+                            profile=GaussianProfile(n0=3.8e24, l_d=8.3e-6, n_b=1.1e21))
+        curve = sweep(spec, -0.4, 52.0, 31)
+        assert_recovered(fit(curve, SI, 300.0, 1.1e21, fit_vbi=True), spec)
+
+    def test_criterion_10_junction_51_points_fixed_vbi(self):
+        curve = sweep(TestFit.truth, -0.4, 1.2, 51)
+        assert_recovered(fit(curve, SI, 300.0, 5e20, fit_vbi=False), TestFit.truth)
 
 
 class TestDeepSweep:
@@ -197,7 +256,9 @@ class TestNonFinite:
     @pytest.mark.parametrize("point", [
         b'{"v_bias": "abc", "c_b": 1e-4}', b'{"v_bias": 0.0, "c_b": "x"}',
         b'{"v_bias": null, "c_b": 1e-4}', b'{"v_bias": 0.0, "c_b": 1e-4, "w_sc": "w"}',
-        b'{"v_bias": true, "c_b": 1e-4}'])
+        b'{"v_bias": true, "c_b": 1e-4}',
+        pytest.param(b'{"v_bias": 1' + b'0' * 400 + b', "c_b": 1e-4}', id="1e400"),
+        pytest.param(b'{"v_bias": 1' + b'0' * 5000 + b', "c_b": 1e-4}', id="1e5000")])
     def test_json_non_numeric_value(self, point):
         with pytest.raises(CurveFormatError):
             deserialize(b'{"points": [' + point + b'], "spec": null}', "json")
@@ -222,5 +283,12 @@ def test_json_missing_key_is_format_error(data):
 def test_json_bad_spec_is_format_error():
     obj = json.loads(serialize(sweep(WORKED, 0.0, 1.0, 3), "json"))
     del obj["spec"]["profile"]["n0"]
+    with pytest.raises(CurveFormatError):
+        deserialize(json.dumps(obj).encode(), "json")
+
+
+def test_json_spec_number_too_large_is_format_error():
+    obj = json.loads(serialize(sweep(WORKED, 0.0, 1.0, 3), "json"))
+    obj["spec"]["profile"]["n0"] = 10 ** 400
     with pytest.raises(CurveFormatError):
         deserialize(json.dumps(obj).encode(), "json")

@@ -48,7 +48,7 @@ class TestMomentIntegral:
             assert_allclose(moment_integral(rho, SI.eps, a, b), expected, rtol=1e-10)
 
     def test_linear_density(self):
-        rho = ChargeProfile(fn=lambda x: x, x_lo=-1.0, scale=1.0)
+        rho = ChargeProfile(fn=lambda x: x, scale=1.0)
         assert_allclose(moment_integral(rho, 1.0, -1.0, 1.0), 2.0 / 3.0, rtol=1e-12)
 
     def test_reversed_interval_rejected(self):
@@ -101,7 +101,7 @@ class TestSolveTwoSided:
         x_j = 5e-6
         def fn(x):
             return Q * n if x < x_j else -Q * n
-        rho = ChargeProfile(fn=fn, steps=(x_j,), model="net", scale=1e-6)
+        rho = ChargeProfile(fn=fn, steps=(x_j,), scale=1e-6)
         sol = solve_two_sided(rho, SI.eps, x_j, 2.0)
         assert_allclose(x_j - sol.x_left, sol.x_right - x_j, rtol=1e-9)
 
@@ -110,7 +110,7 @@ class TestSolveTwoSided:
         x_j = 2e-5
         def fn(x):
             return Q * n_a if x < x_j else -Q * n_d
-        rho = ChargeProfile(fn=fn, steps=(x_j,), model="net", scale=1e-6)
+        rho = ChargeProfile(fn=fn, steps=(x_j,), scale=1e-6)
         sol = solve_two_sided(rho, SI.eps, x_j, 3.0)
         w_p = x_j - sol.x_left
         w_n = sol.x_right - x_j
