@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from . import closedform, cvtools, momentsolver
+from . import closedform, cvtools
 from .closedform import Bias, JunctionSpec
 from .doping import DiffusionRecipe, GaussianProfile, diffusion_length
 from .errors import (CurveFormatError, InsufficientDataError, JunctionError,
@@ -179,6 +179,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    guess = None
+    if (args.guess_n0, args.guess_ld, args.guess_vbi) != (None, None, None):
+        missing = [flag for flag, value in (("--guess-n0", args.guess_n0),
+                                            ("--guess-ld", args.guess_ld)) if value is None]
+        if missing:
+            raise CliError("a fit guess needs both --guess-n0 and --guess-ld; missing "
+                           + " and ".join(missing), EXIT_USAGE)
+        guess = (args.guess_n0 * CM3_TO_M3, args.guess_ld * UM_TO_M,
+                 args.guess_vbi if args.guess_vbi is not None else 0.7)
     try:
         with open(args.data, "rb") as fh:
             raw = fh.read()
@@ -187,10 +196,6 @@ def cmd_fit(args) -> int:
         return EXIT_DATA
     fmt = "json" if args.data.endswith(".json") else "csv"
     material = _material(args.material)
-    guess = None
-    if args.guess_n0 is not None and args.guess_ld is not None:
-        guess = (args.guess_n0 * CM3_TO_M3, args.guess_ld * UM_TO_M,
-                 args.guess_vbi if args.guess_vbi is not None else 0.7)
     result = cvtools.fit(cvtools.deserialize(raw, fmt), material, args.temp,
                          args.nb * CM3_TO_M3, fit_vbi=args.fit_vbi, initial_guess=guess)
     print(f"N0 = {result.n0_hat / CM3_TO_M3:.6g} cm^-3")
@@ -203,6 +208,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import momentsolver  # scipy.integrate, which only the oracle needs
+
     spec = _build_spec(args)
     result = closedform.solve(spec, Bias.from_signed(args.bias), args.regime)
     v_total = result.total_potential

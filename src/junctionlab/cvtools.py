@@ -211,8 +211,9 @@ def fit(measured: CvCurve, material: Material, temp: float, n_b: float,
     residuals of the closed-form capacitance.
 
     n_b is the assumed background concentration (fixed, not fitted);
-    initial_guess is (N0, L_d, V_bi) in SI when provided, else the start
-    is the best point of ``_seed_guess``'s grid. One bounded
+    initial_guess is (N0, L_d, V_bi) in SI when provided (N0 and L_d
+    finite and positive, V_bi finite when fitted, else ``ValueError``),
+    else the start is the best point of ``_seed_guess``'s grid. One bounded
     trust-region least-squares solve (scipy ``least_squares``, method
     ``trf``) over (ln N0, ln L_d[, V_bi]), V_bi within [0.05, 2] V.
     ``objective`` is the sum of squared residuals at the solution,
@@ -229,6 +230,12 @@ def fit(measured: CvCurve, material: Material, temp: float, n_b: float,
         raise ValueError(f"temperature must be finite and positive, got {temp}")
     if initial_guess is not None:
         n0_0, ld_0, vbi_0 = initial_guess
+        for name, value, unit in (("N0", n0_0, "m^-3"), ("L_d", ld_0, "m")):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"initial guess {name} must be finite and positive, "
+                                 f"got {value:g} {unit}")
+        if fit_vbi and not math.isfinite(vbi_0):
+            raise ValueError(f"initial guess V_bi must be finite, got {vbi_0:g} V")
         # a guess is only a start: move its V_bi inside the bounds
         x0 = [math.log(n0_0), math.log(ld_0)] + ([min(max(vbi_0, 0.05), 2.0)] if fit_vbi else [])
     else:

@@ -309,6 +309,36 @@ class TestExitCodes:
         assert err.startswith(prefix)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, missing", [
+        (["--guess-n0", "2e18"], "--guess-ld"),
+        (["--guess-ld", "5"], "--guess-n0"),
+        (["--guess-vbi", "0.5"], "--guess-n0 and --guess-ld"),
+        (["--guess-n0", "2e18", "--guess-vbi", "0.5", "--fit-vbi"], "--guess-ld"),
+    ])
+    def test_partial_guess_exit_64(self, flags, missing, tmp_path, capsys):
+        (tmp_path / "five.csv").write_text(self.CURVES["five.csv"])
+        code, out, err = run(["fit", "--data", str(tmp_path / "five.csv"), "--nb", "1e15",
+                              *flags], capsys)
+        assert code == 64
+        assert out == ""
+        assert err == ("error: a fit guess needs both --guess-n0 and --guess-ld; "
+                       f"missing {missing}\n")
+
+    @pytest.mark.parametrize("flags, bad", [
+        (["--guess-n0", "-1", "--guess-ld", "5"], "initial guess N0 must be finite and "
+                                                  "positive, got -1e+06 m^-3"),
+        (["--guess-n0", "2e18", "--guess-ld", "0"], "initial guess L_d must be finite and "
+                                                    "positive, got 0 m"),
+        (["--guess-n0", "1e303", "--guess-ld", "5"], "initial guess N0 must be finite and "
+                                                     "positive, got inf m^-3"),
+    ])
+    def test_bad_guess_exit_64(self, flags, bad, tmp_path, capsys):
+        (tmp_path / "five.csv").write_text(self.CURVES["five.csv"])
+        code, _, err = run(["fit", "--data", str(tmp_path / "five.csv"), "--nb", "1e15",
+                            *flags], capsys)
+        assert code == 64
+        assert err == f"error: {bad}\n"
+
     def test_nan_bias_under_optimize(self):
         # python -O strips asserts, so the rejection must not rest on one
         env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,20 @@ class TestFit:
         r = fit(self.make_curve(), SI, 300.0, 5e20, fit_vbi=False,
                 initial_guess=(5e23, 2e-6, 0.7))
         assert r.objective < 1e-12
+
+    @pytest.mark.parametrize("guess, bad", [
+        ((-1e24, 2e-6, 0.7), "N0 must be finite and positive, got -1e+24 m^-3"),
+        ((0.0, 2e-6, 0.7), "N0 must be finite and positive, got 0 m^-3"),
+        ((math.inf, 2e-6, 0.7), "N0 must be finite and positive, got inf m^-3"),
+        ((math.nan, 2e-6, 0.7), "N0 must be finite and positive, got nan m^-3"),
+        ((5e23, 0.0, 0.7), "L_d must be finite and positive, got 0 m"),
+        ((5e23, -2e-6, 0.7), "L_d must be finite and positive, got -2e-06 m"),
+        ((5e23, math.nan, 0.7), "L_d must be finite and positive, got nan m"),
+        ((5e23, 2e-6, math.nan), "V_bi must be finite, got nan V"),
+    ])
+    def test_bad_initial_guess_rejected(self, guess, bad):
+        with pytest.raises(ValueError, match=f"^initial guess {re.escape(bad)}$"):
+            fit(self.make_curve(), SI, 300.0, 5e20, fit_vbi=True, initial_guess=guess)
 
     def test_deterministic(self):
         a = fit(self.make_curve(), SI, 300.0, 5e20, fit_vbi=True)

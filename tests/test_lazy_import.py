@@ -1,0 +1,93 @@
+"""scipy loads only on the paths that call it.
+
+The closed form, `sweep`, serialization and the CLI's `solve`, `sweep`
+and `materials` need no scipy (nor numpy); `momentsolver`, which imports
+`scipy.integrate`, is loaded on first use of one of its names.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import junctionlab
+from junctionlab import momentsolver
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+WORKED = ["--n0", "1e18", "--nb", "1e15", "--ld", "10"]
+
+# each run in a fresh interpreter; prints the heavy packages then loaded
+CLOSED_FORM = """
+import junctionlab as jl
+from junctionlab import cli
+spec = jl.JunctionSpec(material=jl.get_material("Si"),
+                       profile=jl.GaussianProfile(n0=1e24, l_d=1e-5, n_b=1e21))
+bias = jl.Bias.from_signed(10.0)
+jl.solve(spec, bias)
+jl.capacitance(spec, bias)
+jl.validity_window(spec)
+curve = jl.sweep(spec, -0.3, 20.0, 21)
+for fmt in ("csv", "json"):
+    assert jl.deserialize(jl.serialize(curve, fmt), fmt).points == curve.points
+assert cli.main(["solve", *WORKED, "--bias", "10"]) == 0
+assert cli.main(["sweep", *WORKED, "--vstart", "0", "--vstop", "20", "--steps", "11",
+                 "--out", OUT]) == 0
+assert cli.main(["materials"]) == 0
+"""
+
+ORACLE = CLOSED_FORM + """
+assert cli.main(["oracle", *WORKED, "--bias", "10"]) == 0
+"""
+
+REPORT = """
+import json, sys
+print(json.dumps(sorted({"scipy", "numpy"} & set(sys.modules))))
+"""
+
+
+def _heavy_modules(body, tmp_path):
+    script = f"WORKED = {WORKED!r}\nOUT = {str(tmp_path / 'c.csv')!r}\n" + body + REPORT
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_closed_form_paths_load_no_scipy_or_numpy(tmp_path):
+    assert _heavy_modules(CLOSED_FORM, tmp_path) == []
+
+
+def test_oracle_loads_scipy(tmp_path):
+    # the control: the probe above does see an import of scipy
+    assert "scipy" in _heavy_modules(ORACLE, tmp_path)
+
+
+LAZY_NAMES = ["ChargeProfile", "HeteroStack", "ScrSolution", "moment_integral",
+              "reconstruct_field_potential", "solve_hetero", "solve_one_sided",
+              "solve_two_sided"]
+
+
+def _from_import(name):
+    namespace = {}
+    exec(f"from junctionlab import {name}", namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize("name", LAZY_NAMES)
+def test_lazy_name_is_the_momentsolver_object(name, monkeypatch):
+    expected = getattr(momentsolver, name)
+    for resolve in (lambda: getattr(junctionlab, name), lambda: _from_import(name)):
+        # drop the cached name so that the module __getattr__ resolves it
+        monkeypatch.delitem(vars(junctionlab), name, raising=False)
+        assert resolve() is expected
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        junctionlab.no_such_name
+    assert not hasattr(junctionlab, "no_such_name")
