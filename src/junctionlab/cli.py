@@ -89,6 +89,14 @@ def _load_material_file(path: str) -> list[Material]:
     return out
 
 
+def _write(path: str, data: bytes):
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e}", EXIT_CANTCREAT)
+
+
 def _material_table(extra_file: str = None) -> dict[str, Material]:
     table = {m.name: m for m in builtin_materials()}
     env_file = os.environ.get("JUNCTIONLAB_MATERIALS")
@@ -165,13 +173,7 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     spec = _build_spec(args)
     curve = cvtools.sweep(spec, args.vstart, args.vstop, args.steps, args.regime)
-    data = cvtools.serialize(curve, args.format)
-    try:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    except OSError as e:
-        print(f"cannot write {args.out}: {e}", file=sys.stderr)
-        return EXIT_CANTCREAT
+    _write(args.out, cvtools.serialize(curve, args.format))
     cs = [c for _, c, _ in curve.points]
     print(f"wrote {len(curve)} points to {args.out} "
           f"(C_b {min(cs):.6g} .. {max(cs):.6g} F/m^2)")
@@ -192,8 +194,7 @@ def cmd_fit(args) -> int:
         with open(args.data, "rb") as fh:
             raw = fh.read()
     except OSError as e:
-        print(f"cannot read {args.data}: {e}", file=sys.stderr)
-        return EXIT_DATA
+        raise CliError(f"cannot read {args.data}: {e}", EXIT_DATA)
     fmt = "json" if args.data.endswith(".json") else "csv"
     material = _material(args.material)
     result = cvtools.fit(cvtools.deserialize(raw, fmt), material, args.temp,
@@ -240,14 +241,8 @@ def cmd_oracle(args) -> int:
 
     if args.emit_profile:
         samples = momentsolver.reconstruct_field_potential(rho_emit, spec.eps, xl, xr, 201)
-        try:
-            with open(args.emit_profile, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("x_m,E_V_per_m,u_V\n")
-                for x, e_fld, u in samples:
-                    fh.write(f"{x!r},{e_fld!r},{u!r}\n")
-        except OSError as e:
-            print(f"cannot write {args.emit_profile}: {e}", file=sys.stderr)
-            return EXIT_CANTCREAT
+        rows = "".join(f"{x!r},{e_fld!r},{u!r}\n" for x, e_fld, u in samples)
+        _write(args.emit_profile, ("x_m,E_V_per_m,u_V\n" + rows).encode("utf-8"))
         print(f"wrote {len(samples)} profile samples to {args.emit_profile}")
 
     if args.model == "paper" and rel >= 1e-6:

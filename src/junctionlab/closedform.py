@@ -29,11 +29,6 @@ class Regime(Enum):
     DEEP = "deep"
 
 
-def _regime(regime: str | Regime) -> Regime:
-    """A regime name (or a Regime) as a Regime; "auto" means general."""
-    return Regime.GENERAL if regime == "auto" else Regime(regime)
-
-
 @dataclass(frozen=True)
 class Bias:
     """Non-negative magnitude plus direction. ``from_signed`` maps the
@@ -142,7 +137,7 @@ def validity_window(spec: JunctionSpec, regime: str | Regime = "general") -> Val
     v_max_reverse is the exclusive supremum of admissible V_R; when it is
     <= 0 the formula cannot represent this junction even at equilibrium.
     """
-    supportable = spec.potential_scale * log_argument(spec, 0.0, _regime(regime))
+    supportable = spec.potential_scale * log_argument(spec, 0.0, Regime(regime))
     v_max_reverse = supportable - spec.v_bi
     if v_max_reverse <= 0.0:
         raise EquilibriumInvalidError(
@@ -152,28 +147,36 @@ def validity_window(spec: JunctionSpec, regime: str | Regime = "general") -> Val
     return ValidityWindow(v_max_reverse=v_max_reverse, v_max_forward=spec.v_bi)
 
 
+def _log_terms(spec: JunctionSpec, v_total: float, regime: Regime) -> tuple[float, float, float]:
+    """(s_j, exp(-s_j^2), u) with s_j = x_j/L_d (0 in the deep regime) and
+    u = V_total/potential_scale; the log argument is exp(-s_j^2) - u."""
+    s_j = 0.0 if regime is Regime.DEEP else spec.x_j / spec.profile.l_d
+    return s_j, math.exp(-s_j ** 2), v_total / spec.potential_scale
+
+
 def log_argument(spec: JunctionSpec, v_total: float, regime: Regime = Regime.GENERAL) -> float:
     """The bracketed quantity under the logarithm, for a given total potential."""
-    u = v_total / spec.potential_scale
-    if regime is Regime.DEEP:
-        return 1.0 - u
-    return math.exp(-(spec.x_j / spec.profile.l_d) ** 2) - u
+    _, exp_term, u = _log_terms(spec, v_total, regime)
+    return exp_term - u
 
 
 def w_sc_from_potential(spec: JunctionSpec, v_total: float,
                         regime: Regime = Regime.GENERAL) -> SolveResult:
     """Solve at an explicit total potential (volts). Used internally and by
     tests probing limits a Bias cannot express (e.g. V_total = 0)."""
-    a = log_argument(spec, v_total, regime)
+    s_j, exp_term, u = _log_terms(spec, v_total, regime)
+    a = exp_term - u
     if a <= 0.0:
         v_max_reverse = validity_window(spec, regime).v_max_reverse
         raise PunchThroughError(
             f"log argument {a:g} <= 0 at total potential {v_total:g} V; "
             f"max reverse bias is {v_max_reverse:g} V",
             v_max_reverse=v_max_reverse)
-    w = spec.profile.l_d * math.sqrt(-math.log(a))
-    if regime is Regime.GENERAL:
-        w -= spec.x_j
+    # -ln A = s_j^2 + t with t = -log1p(-u/exp(-s_j^2)), which keeps its
+    # digits as u -> 0 where ln A cancels; s - s_j is taken as t/(s + s_j)
+    t = -math.log1p(-u / exp_term)
+    s = math.sqrt(s_j ** 2 + t)
+    w = spec.profile.l_d * (t / (s + s_j) if regime is Regime.GENERAL else s)
     c_b = spec.eps / w if w > 0.0 else math.inf
     return SolveResult(total_potential=v_total, w_sc=w, c_b=c_b,
                        regime=regime, log_argument=a)
@@ -192,8 +195,8 @@ def w_sc_deep(spec: JunctionSpec, bias: Bias) -> SolveResult:
 
 
 def solve(spec: JunctionSpec, bias: Bias, regime: str | Regime = "general") -> SolveResult:
-    """Regime-dispatching entry point; "auto" always picks general."""
-    return w_sc_from_potential(spec, total_potential(spec, bias), _regime(regime))
+    """Regime-dispatching entry point: a regime name or a Regime."""
+    return w_sc_from_potential(spec, total_potential(spec, bias), Regime(regime))
 
 
 def capacitance(spec: JunctionSpec, bias: Bias, regime: str | Regime = "general") -> float:

@@ -50,8 +50,9 @@ class DiffusionRecipe:
     t_d: float
 
     def __post_init__(self):
-        if self.d_i <= 0.0 or self.t_d <= 0.0:
-            raise ValueError("diffusion constant and time must both be positive")
+        if not (0.0 < self.d_i < math.inf and 0.0 < self.t_d < math.inf):
+            raise ValueError(f"diffusion constant and time must both be finite and positive, "
+                             f"got d_i = {self.d_i}, t_d = {self.t_d}")
 
 
 def diffusion_length(recipe: DiffusionRecipe) -> float:

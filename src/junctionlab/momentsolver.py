@@ -38,12 +38,11 @@ _QUAD_OPTS = dict(epsabs=1e-30, epsrel=1e-12, limit=200)
 
 @dataclass(frozen=True)
 class ChargeProfile:
-    """Evaluatable charge density x (m) -> rho (C/m^3) with the upper end
-    ``x_hi`` of its support and its step points. ``scale`` is a
-    characteristic length used to seed bracketing searches."""
+    """Evaluatable charge density x (m) -> rho (C/m^3) with its step
+    points. ``scale`` is a characteristic length used to seed bracketing
+    searches."""
 
     fn: Callable[[float], float]
-    x_hi: float = math.inf
     steps: tuple = ()
     scale: float = 1e-6
 
@@ -64,13 +63,9 @@ class ChargeProfile:
                    steps=(junction_depth(profile),), scale=profile.l_d)
 
     @classmethod
-    def step(cls, value: float, x_from: float = 0.0, x_to: float = math.inf,
-             scale: float = 1e-6) -> "ChargeProfile":
-        """Constant charge density on [x_from, x_to], zero outside."""
-        def fn(x):
-            return value if x_from <= x <= x_to else 0.0
-        steps = tuple(s for s in (x_from, x_to) if math.isfinite(s))
-        return cls(fn=fn, steps=steps, scale=scale)
+    def step(cls, value: float, scale: float = 1e-6) -> "ChargeProfile":
+        """Constant charge density from the surface inward, zero at x < 0."""
+        return cls(fn=lambda x: value if x >= 0.0 else 0.0, steps=(0.0,), scale=scale)
 
 
 @dataclass(frozen=True)
@@ -83,8 +78,8 @@ class HeteroStack:
         if not self.layers:
             raise ValueError("stack needs at least one layer")
         for mat, t in self.layers:
-            if t <= 0.0:
-                raise ValueError(f"layer thickness must be positive, got {t}")
+            if not 0.0 < t < math.inf:
+                raise ValueError(f"layer thickness must be finite and positive, got {t}")
 
     @property
     def boundaries(self) -> list[float]:
@@ -166,17 +161,14 @@ def total_charge(rho: ChargeProfile, a: float, b: float) -> float:
 
 
 def _moment_supremum(rho: ChargeProfile, eps, x_start: float) -> float:
-    """Limit of the moment integral as the right end goes to the support end."""
-    hi = rho.x_hi
-    if math.isinf(hi):
-        # breaks at a few scales past x_start and at `far`, beyond every
-        # step, so adaptive quadrature cannot miss the near-field feature
-        eps_of_x, eps_breaks, _ = _as_eps(eps)
-        far = max([x_start + 100.0 * rho.scale, *rho.steps, *eps_breaks])
-        heads = [x_start + k * rho.scale for k in (1.0, 3.0, 10.0, 30.0)]
-        return _segmented_quad(_moment_integrand(rho, eps_of_x), x_start, hi,
-                               (*heads, far, *rho.steps, *eps_breaks))
-    return moment_integral(rho, eps, x_start, hi)
+    """Limit of the moment integral as the right end goes to infinity."""
+    # breaks at a few scales past x_start and at `far`, beyond every
+    # step, so adaptive quadrature cannot miss the near-field feature
+    eps_of_x, eps_breaks, _ = _as_eps(eps)
+    far = max([x_start + 100.0 * rho.scale, *rho.steps, *eps_breaks])
+    heads = [x_start + k * rho.scale for k in (1.0, 3.0, 10.0, 30.0)]
+    return _segmented_quad(_moment_integrand(rho, eps_of_x), x_start, math.inf,
+                           (*heads, far, *rho.steps, *eps_breaks))
 
 
 def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> ScrSolution:
@@ -189,7 +181,6 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     if target <= 0.0:
         raise ValueError(f"target potential must be positive, got {target}")
     _, _, eps_end = _as_eps(eps)
-    cap = min(rho.x_hi, eps_end)
 
     def f(b):
         return abs(moment_integral(rho, eps, x_start, b)) - target
@@ -200,19 +191,15 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     lo = x_start
     prev_fb = None
     while True:
-        b = min(x_start + w, cap)
+        b = min(x_start + w, eps_end)
         fb = f(b)
         if fb >= 0.0:
             hi = b
             break
-        if b == cap:
-            if math.isfinite(eps_end) and eps_end <= rho.x_hi:
-                raise StackExhaustedError(
-                    f"SCR would extend past the stack end at {eps_end:g} m "
-                    f"(moment reaches only {fb + target:g} of {target:g} V)")
-            raise UnreachablePotentialError(
-                f"target {target:g} V exceeds the supportable potential",
-                supremum=fb + target)
+        if b == eps_end:
+            raise StackExhaustedError(
+                f"SCR would extend past the stack end at {eps_end:g} m "
+                f"(moment reaches only {fb + target:g} of {target:g} V)")
         stalled = (prev_fb is not None and fb - prev_fb <= 1e-14 * target
                    and w > 10.0 * rho.scale)
         if stalled or w / rho.scale > 1e15:
@@ -243,11 +230,7 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
     def left_for(xr):
         def g(xl):
             return total_charge(rho, xl, xr)
-        g_at_zero = g(0.0)
-        g_at_xj = g(x_j)
-        if g_at_zero == 0.0:
-            return 0.0
-        if g_at_zero * g_at_xj > 0.0:
+        if g(0.0) * g(x_j) > 0.0:
             # even emptying the whole diffused side cannot balance the right
             raise SurfaceReachedError(
                 f"SCR reaches the surface: right boundary {xr:g} m needs more "

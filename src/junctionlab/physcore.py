@@ -60,7 +60,7 @@ def get_material(name: str) -> Material:
 
 
 def thermal_voltage(temp: float) -> float:
-    """k_B * T / q in volts. ``temp`` must be positive kelvin."""
-    if temp <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temp}")
+    """k_B * T / q in volts. ``temp`` must be finite, positive kelvin."""
+    if not 0.0 < temp < math.inf:
+        raise ValueError(f"temperature must be finite and positive, got {temp}")
     return K_B * temp / Q

@@ -87,8 +87,9 @@ class TestSweepCmd:
         assert float(v) == 10.0
         import junctionlab as jl
         si = jl.get_material("Si")
-        spec = jl.JunctionSpec(material=si,
-                               profile=jl.GaussianProfile(n0=1e24, l_d=1e-5, n_b=1e21))
+        # the CLI's own conversion: 10 * 1e-6 is not the double nearest 1e-5
+        spec = jl.JunctionSpec(material=si, profile=jl.GaussianProfile(
+            n0=1e24, l_d=10 * cli.UM_TO_M, n_b=1e21))
         r = jl.solve(spec, jl.Bias(10.0, "reverse"))
         assert float(c) == r.c_b
         assert float(w) == r.w_sc
@@ -107,9 +108,13 @@ class TestSweepCmd:
         assert code == 64
 
     def test_unwritable_path_exit_73(self, capsys):
-        code, _, _ = run(["sweep", *WORKED, "--vstart", "0", "--vstop", "10",
-                          "--steps", "3", "--out", "/nonexistent/dir/x.csv"], capsys)
-        assert code == 73
+        for argv in (["sweep", *WORKED, "--vstart", "0", "--vstop", "10",
+                      "--steps", "3", "--out", "/nonexistent/dir/x.csv"],
+                     ["oracle", *WORKED, "--bias", "10",
+                      "--emit-profile", "/nonexistent/dir/p.csv"]):
+            code, _, err = run(argv, capsys)
+            assert code == 73
+            assert err.startswith("error: cannot write /nonexistent/dir/")
 
     def test_json_format_feeds_fit(self, tmp_path, capsys):
         out_file = tmp_path / "sw.json"
@@ -156,8 +161,9 @@ class TestFitCmd:
         assert "V_bi = 0.81082 V\n" in out
 
     def test_unreadable_file_exit_65(self, capsys):
-        code, _, _ = run(["fit", "--data", "/no/such/file.csv", "--nb", "1e15"], capsys)
+        code, _, err = run(["fit", "--data", "/no/such/file.csv", "--nb", "1e15"], capsys)
         assert code == 65
+        assert err.startswith("error: cannot read /no/such/file.csv: ")
 
 
 class TestOracleCmd:
@@ -223,6 +229,12 @@ class TestExitCodes:
                             "--steps", "11", "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 2
         assert "bias 80 V" in err
+
+    def test_oracle_deviation_exit_4(self, capsys):
+        # the shallow closed form drops -x_j, which the paper-model oracle keeps
+        code, out, _ = run(["oracle", *WORKED, "--bias", "10", "--regime", "shallow"], capsys)
+        assert code == 4
+        assert "(0.989" in out
 
     def test_deep_sweep_past_general_bound(self, tmp_path, capsys):
         out_file = tmp_path / "deep.csv"

@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 from numpy.testing import assert_allclose
 
 from junctionlab import (Bias, GaussianProfile, JunctionSpec, Q, Regime,
@@ -224,8 +225,12 @@ class TestCapacitance:
         assert all(a > b for a, b in zip(cs, cs[1:]))
         assert all(a < b for a, b in zip(ws, ws[1:]))
 
-    def test_auto_regime_is_general(self):
-        assert solve(WORKED, Bias(10.0, "reverse"), "auto").regime is Regime.GENERAL
+    @pytest.mark.parametrize("regime", ["auto", "GENERAL", "gen"])
+    def test_unknown_regime_rejected(self, regime):
+        with pytest.raises(ValueError):
+            solve(WORKED, Bias(10.0, "reverse"), regime)
+        with pytest.raises(ValueError):
+            validity_window(WORKED, regime)
 
 
 @settings(max_examples=50, deadline=None)
@@ -304,3 +309,34 @@ def test_equilibrium_invalid_from_solve():
     with pytest.raises(EquilibriumInvalidError) as exc:
         solve(spec, Bias(0.0, "reverse"))
     assert exc.value.v_max_reverse <= 0.0
+
+
+def _mp_width(spec, v_total, regime):
+    """W of ``regime`` in 50-digit arithmetic, the spec's doubles taken as exact."""
+    l_d, x_j = mp.mpf(spec.profile.l_d), mp.mpf(spec.x_j)
+    scale = mp.mpf(Q) * mp.mpf(spec.profile.n0) * l_d ** 2 / (2 * mp.mpf(spec.eps))
+    s_j = 0 if regime is Regime.DEEP else x_j / l_d
+    w = l_d * mp.sqrt(-mp.log(mp.exp(-s_j ** 2) - mp.mpf(v_total) / scale))
+    return w - x_j if regime is Regime.GENERAL else w
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_closed_form_few_ulp_down_to_flat_band(regime):
+    # from 1e-9 V up to half the supportable potential; nearer punch-through
+    # the 1/A conditioning of ln A amplifies the rounding of its inputs
+    specs = [WORKED, JunctionSpec(material=SI, profile=WORKED.profile, x_j=1e-7),
+             JunctionSpec(material=SI, profile=WORKED.profile, x_j=0.0),
+             JunctionSpec(material=SI, profile=GaussianProfile(n0=1e26, l_d=1e-6, n_b=1e20))]
+    worst = 0.0
+    with mp.workdps(50):
+        for spec in specs:
+            try:
+                top = spec.v_bi + validity_window(spec, regime).v_max_reverse
+            except EquilibriumInvalidError:
+                continue
+            for k in range(41):
+                v_total = 1e-9 * (0.5 * top / 1e-9) ** (k / 40)
+                w = w_sc_from_potential(spec, v_total, regime).w_sc
+                exact = _mp_width(spec, v_total, regime)
+                worst = max(worst, float(abs((w - exact) / exact)))
+    assert worst < 2e-15

@@ -45,10 +45,11 @@ class TestDiffusionLength:
         assert_allclose(l_d ** 2, 4.0 * d_i * t_d, rtol=1e-14)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            DiffusionRecipe(d_i=0.0, t_d=100.0)
-        with pytest.raises(ValueError):
-            DiffusionRecipe(d_i=1e-17, t_d=-1.0)
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                DiffusionRecipe(d_i=bad, t_d=100.0)
+            with pytest.raises(ValueError):
+                DiffusionRecipe(d_i=1e-17, t_d=bad)
 
 
 class TestDopingAt:

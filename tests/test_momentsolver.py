@@ -205,8 +205,9 @@ class TestSolveHetero:
     def test_stack_validation(self):
         with pytest.raises(ValueError):
             HeteroStack(layers=())
-        with pytest.raises(ValueError):
-            HeteroStack(layers=((SI, -1e-6),))
+        for t in (-1e-6, 0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                HeteroStack(layers=((SI, t),))
 
 
 def test_oracle_agreement_on_bias_grid():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
@@ -46,10 +48,9 @@ def test_thermal_voltage_room_temperature():
 
 
 def test_thermal_voltage_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        thermal_voltage(0.0)
-    with pytest.raises(ValueError):
-        thermal_voltage(-10.0)
+    for temp in (0.0, -10.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            thermal_voltage(temp)
 
 
 def test_thermal_voltage_linearity():
