@@ -10,8 +10,8 @@ paths load neither scipy nor numpy.
 """
 
 from .closedform import (Bias, JunctionSpec, Regime, SolveResult,
-                         ValidityWindow, capacitance, default_vbi, solve,
-                         total_potential, validity_window, w_sc_deep,
+                         ValidityWindow, capacitance, cv_points, default_vbi,
+                         solve, total_potential, validity_window, w_sc_deep,
                          w_sc_general, w_sc_shallow)
 from .cvtools import CvCurve, FitResult, deserialize, fit, serialize, sweep
 from .doping import (DiffusionRecipe, GaussianProfile, Polarity,

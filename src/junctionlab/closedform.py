@@ -147,24 +147,37 @@ def validity_window(spec: JunctionSpec, regime: str | Regime = "general") -> Val
     return ValidityWindow(v_max_reverse=v_max_reverse, v_max_forward=spec.v_bi)
 
 
-def _log_terms(spec: JunctionSpec, v_total: float, regime: Regime) -> tuple[float, float, float]:
-    """(s_j, exp(-s_j^2), u) with s_j = x_j/L_d (0 in the deep regime) and
-    u = V_total/potential_scale; the log argument is exp(-s_j^2) - u."""
+def _junction_terms(spec: JunctionSpec, regime: Regime) -> tuple[float, float]:
+    """(s_j, exp(-s_j^2)) with s_j = x_j/L_d, 0 in the deep regime; the log
+    argument is exp(-s_j^2) - u with u = V_total/potential_scale."""
     s_j = 0.0 if regime is Regime.DEEP else spec.x_j / spec.profile.l_d
-    return s_j, math.exp(-s_j ** 2), v_total / spec.potential_scale
+    return s_j, math.exp(-s_j ** 2)
 
 
 def log_argument(spec: JunctionSpec, v_total: float, regime: Regime = Regime.GENERAL) -> float:
     """The bracketed quantity under the logarithm, for a given total potential."""
-    _, exp_term, u = _log_terms(spec, v_total, regime)
-    return exp_term - u
+    _, exp_term = _junction_terms(spec, regime)
+    return exp_term - v_total / spec.potential_scale
+
+
+def _width_and_capacitance(l_d: float, eps: float, s_j: float, exp_term: float, u: float,
+                           general: bool) -> tuple[float, float]:
+    """(W, C_b) of the general regime, or of shallow and deep (W = L_d*s);
+    the caller has checked that exp_term - u > 0."""
+    # -ln A = s_j^2 + t with t = -log1p(-u/exp(-s_j^2)), which keeps its
+    # digits as u -> 0 where ln A cancels; s - s_j is taken as t/(s + s_j)
+    t = -math.log1p(-u / exp_term)
+    s = math.sqrt(s_j ** 2 + t)
+    w = l_d * (t / (s + s_j) if general else s)
+    return w, eps / w if w > 0.0 else math.inf
 
 
 def w_sc_from_potential(spec: JunctionSpec, v_total: float,
                         regime: Regime = Regime.GENERAL) -> SolveResult:
     """Solve at an explicit total potential (volts). Used internally and by
     tests probing limits a Bias cannot express (e.g. V_total = 0)."""
-    s_j, exp_term, u = _log_terms(spec, v_total, regime)
+    s_j, exp_term = _junction_terms(spec, regime)
+    u = v_total / spec.potential_scale
     a = exp_term - u
     if a <= 0.0:
         v_max_reverse = validity_window(spec, regime).v_max_reverse
@@ -172,12 +185,8 @@ def w_sc_from_potential(spec: JunctionSpec, v_total: float,
             f"log argument {a:g} <= 0 at total potential {v_total:g} V; "
             f"max reverse bias is {v_max_reverse:g} V",
             v_max_reverse=v_max_reverse)
-    # -ln A = s_j^2 + t with t = -log1p(-u/exp(-s_j^2)), which keeps its
-    # digits as u -> 0 where ln A cancels; s - s_j is taken as t/(s + s_j)
-    t = -math.log1p(-u / exp_term)
-    s = math.sqrt(s_j ** 2 + t)
-    w = spec.profile.l_d * (t / (s + s_j) if regime is Regime.GENERAL else s)
-    c_b = spec.eps / w if w > 0.0 else math.inf
+    w, c_b = _width_and_capacitance(spec.profile.l_d, spec.eps, s_j, exp_term, u,
+                                    regime is Regime.GENERAL)
     return SolveResult(total_potential=v_total, w_sc=w, c_b=c_b,
                        regime=regime, log_argument=a)
 
@@ -202,3 +211,35 @@ def solve(spec: JunctionSpec, bias: Bias, regime: str | Regime = "general") -> S
 def capacitance(spec: JunctionSpec, bias: Bias, regime: str | Regime = "general") -> float:
     """Barrier capacitance eps / W_SC, F/m^2."""
     return solve(spec, bias, regime).c_b
+
+
+def cv_points(spec: JunctionSpec, signed_biases, regime: str | Regime = "general") -> list:
+    """(v, c_b, w_sc) at each signed bias (positive = reverse, negative =
+    forward), in order: for every point the values and the error of
+    ``solve(spec, Bias.from_signed(v), regime)``, a punch-through reworded
+    as "bias ... V outside validity window: ...". The junction's invariants
+    are computed once for all the points."""
+    regime = Regime(regime)
+    s_j, exp_term = _junction_terms(spec, regime)
+    scale, l_d, eps, v_bi = spec.potential_scale, spec.profile.l_d, spec.eps, spec.v_bi
+    general, inf = regime is Regime.GENERAL, math.inf  # an enum member lookup costs ~0.15 us
+    pts = []
+    for v in signed_biases:
+        # V_bi + V_R, or V_bi - V_F with V_F = -v: the same rounding
+        u = (v_bi + v) / scale
+        if -v_bi < v < inf and exp_term - u > 0.0:
+            w, c_b = _width_and_capacitance(l_d, eps, s_j, exp_term, u, general)
+        else:  # NaN, +-inf, at or past flat band or past punch-through
+            w, c_b = _solve_point(spec, v, regime)
+        pts.append((v, c_b, w))
+    return pts
+
+
+def _solve_point(spec: JunctionSpec, v: float, regime: Regime) -> tuple[float, float]:
+    """(W, C_b) by the scalar solve, which raises the point's error."""
+    try:
+        r = solve(spec, Bias.from_signed(v), regime)
+    except PunchThroughError as e:  # EquilibriumInvalidError too
+        raise type(e)(f"bias {v:g} V outside validity window: {e}",
+                      v_max_reverse=e.v_max_reverse) from e
+    return r.w_sc, r.c_b

@@ -9,11 +9,11 @@ import json
 import math
 from dataclasses import dataclass
 
-from .closedform import (Bias, JunctionSpec, Regime, default_vbi, solve,
+from .closedform import (JunctionSpec, Regime, cv_points, default_vbi,
                          validity_window)
 from .doping import GaussianProfile, Polarity
 from .errors import (CurveFormatError, InsufficientDataError, JunctionError,
-                     PunchThroughError, UnfittableDataError)
+                     UnfittableDataError)
 from .physcore import Material
 
 CSV_HEADER = "v_bias_V,c_b_F_per_m2,w_sc_m"
@@ -52,16 +52,8 @@ def sweep(spec: JunctionSpec, v_start: float, v_stop: float, n_points: int,
         raise ValueError(f"need at least 2 points, got {n_points}")
     if v_stop <= v_start:
         raise ValueError(f"need v_start < v_stop, got [{v_start}, {v_stop}]")
-    pts = []
-    for i in range(n_points):
-        v = v_start + (v_stop - v_start) * i / (n_points - 1)
-        try:
-            r = solve(spec, Bias.from_signed(v), regime)
-        except PunchThroughError as e:
-            raise type(e)(f"bias {v:g} V outside validity window: {e}",
-                          v_max_reverse=e.v_max_reverse) from e
-        pts.append((v, r.c_b, r.w_sc))
-    return CvCurve(points=tuple(pts), spec_echo=spec)
+    grid = (v_start + (v_stop - v_start) * i / (n_points - 1) for i in range(n_points))
+    return CvCurve(points=tuple(cv_points(spec, grid, regime)), spec_echo=spec)
 
 
 def _spec_to_dict(spec: JunctionSpec) -> dict:
@@ -117,15 +109,23 @@ def deserialize(data: bytes, fmt: str = "csv") -> CvCurve:
             spec = None if obj.get("spec") is None else _spec_from_dict(obj["spec"])
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise CurveFormatError(f"malformed JSON curve: {type(e).__name__}: {e}") from e
-        for v, c, w in pts:
-            for value in (v, c) if w is None else (v, c, w):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise CurveFormatError(f"non-numeric value {value!r} in JSON curve")
-        try:
-            pts = tuple((float(v), float(c), w if w is None else float(w)) for v, c, w in pts)
-        except OverflowError as e:
-            raise CurveFormatError("number too large for a float in JSON curve") from e
-        return CvCurve(points=pts, spec_echo=spec)
+        numbers, too_large = [], None
+        for point in pts:
+            v, c, w = point
+            # json.loads gives floats as float; check and convert anything else
+            if type(v) is not float or type(c) is not float or (w is not None
+                                                                 and type(w) is not float):
+                for value in (v, c) if w is None else point:
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise CurveFormatError(f"non-numeric value {value!r} in JSON curve")
+                try:
+                    point = (float(v), float(c), w if w is None else float(w))
+                except OverflowError as e:  # reported once no point is non-numeric
+                    too_large = too_large or e
+            numbers.append(point)
+        if too_large is not None:
+            raise CurveFormatError("number too large for a float in JSON curve") from too_large
+        return CvCurve(points=tuple(numbers), spec_echo=spec)
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
@@ -180,6 +180,9 @@ def _residuals(theta, measured, material, temp, n_b, fit_vbi):
     except (JunctionError, ArithmeticError, ValueError):
         # no finite junction at this trial point (fit has checked temp)
         return [1e6] * len(measured)
+    # one kernel call for the points inside the window
+    model = iter(cv_points(spec, [v for v, _, _ in measured.points
+                                  if -window.v_max_forward < v < window.v_max_reverse]))
     res = []
     for v, c_meas, _ in measured.points:
         if v >= window.v_max_reverse:
@@ -187,7 +190,7 @@ def _residuals(theta, measured, material, temp, n_b, fit_vbi):
         elif -v >= window.v_max_forward:
             res.append(1e3 * (1.0 - v - window.v_max_forward))
         else:
-            res.append((solve(spec, Bias.from_signed(v)).c_b - c_meas) / c_meas)
+            res.append((next(model)[1] - c_meas) / c_meas)
     return res
 
 

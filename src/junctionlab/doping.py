@@ -57,7 +57,11 @@ class DiffusionRecipe:
 
 def diffusion_length(recipe: DiffusionRecipe) -> float:
     """Technological diffusion length 2 * sqrt(D_i * t_d), meters."""
-    return 2.0 * math.sqrt(recipe.d_i * recipe.t_d)
+    l_d = 2.0 * math.sqrt(recipe.d_i * recipe.t_d)
+    if not 0.0 < l_d < math.inf:  # d_i * t_d overflowed or underflowed
+        raise ValueError(f"diffusion length 2*sqrt(d_i*t_d) is outside the float range for "
+                         f"d_i = {recipe.d_i} m^2/s, t_d = {recipe.t_d} s")
+    return l_d
 
 
 def doping_at(profile: GaussianProfile, x: float) -> float:

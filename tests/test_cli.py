@@ -253,6 +253,14 @@ class TestExitCodes:
         assert code == 64
         assert "Traceback" not in err
 
+    def test_diffusion_length_overflow_exit_64(self, capsys):
+        code, out, err = run(["solve", "--n0", "1e18", "--nb", "1e15", "--di", "1e204",
+                              "--td", "1e200", "--bias", "1"], capsys)
+        assert code == 64
+        assert out == ""
+        assert err == ("error: diffusion length 2*sqrt(d_i*t_d) is outside the float range "
+                       "for d_i = 1e+200 m^2/s, t_d = 1e+200 s\n")
+
     @pytest.mark.parametrize("flag", ["--n0", "--nb", "--ld", "--xj", "--vbi",
                                       "--temp", "--bias"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

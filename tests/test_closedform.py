@@ -6,7 +6,7 @@ from mpmath import mp
 from numpy.testing import assert_allclose
 
 from junctionlab import (Bias, GaussianProfile, JunctionSpec, Q, Regime,
-                         capacitance, default_vbi, get_material, solve,
+                         capacitance, cv_points, default_vbi, get_material, solve,
                          total_potential, validity_window, w_sc_deep,
                          w_sc_general, w_sc_shallow)
 from junctionlab.closedform import log_argument, w_sc_from_potential
@@ -340,3 +340,63 @@ def test_closed_form_few_ulp_down_to_flat_band(regime):
                 exact = _mp_width(spec, v_total, regime)
                 worst = max(worst, float(abs((w - exact) / exact)))
     assert worst < 2e-15
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_cv_points_equals_per_point_solve(regime):
+    for spec in [WORKED, *random_specs(12, seed=11),
+                 JunctionSpec(material=SI, profile=WORKED.profile, x_j=1e-7, v_bi=0.5)]:
+        try:
+            v_max = validity_window(spec, regime).v_max_reverse
+        except EquilibriumInvalidError:
+            continue
+        # forward up to just short of flat band, then reverse up to the window
+        biases = [-spec.v_bi * (1.0 - 2.0 ** -k) for k in range(1, 40)]
+        biases += [-0.0, 0.0, 1e-12] + [v_max * k / 64 for k in range(1, 64)]
+        points = cv_points(spec, biases, regime.value)
+        assert [v for v, _, _ in points] == biases
+        for v, c_b, w_sc in points:
+            r = solve(spec, Bias.from_signed(v), regime)
+            assert (c_b, w_sc) == (r.c_b, r.w_sc)
+
+
+def _point_error(spec, v, regime):
+    """(type, message, v_max_reverse) that sweep's per-point solve raised at v."""
+    try:
+        solve(spec, Bias.from_signed(v), regime)
+    except PunchThroughError as e:
+        return type(e), f"bias {v:g} V outside validity window: {e}", e.v_max_reverse
+    except ValueError as e:
+        return type(e), str(e), None
+    raise AssertionError(f"no error at {v} V")
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("spec", [
+    WORKED, JunctionSpec(material=SI, profile=WORKED.profile, x_j=1e-7),
+    # invalid unbiased in general and shallow, so reverse bias raises
+    # EquilibriumInvalidError; a small forward bias still solves
+    JunctionSpec(material=SI, profile=GaussianProfile(n0=1e24, l_d=1e-6, n_b=1e21))],
+    ids=["worked", "shallow_xj", "equilibrium_invalid"])
+def test_cv_points_raises_the_per_point_error(spec, regime):
+    try:
+        past_window = 2.0 * validity_window(spec, regime).v_max_reverse
+    except EquilibriumInvalidError:
+        past_window = 1.0
+    for bad in (math.nan, math.inf, -math.inf, -spec.v_bi, -2.0 * spec.v_bi, past_window):
+        expected = _point_error(spec, bad, regime)
+        with pytest.raises(expected[0]) as exc:
+            cv_points(spec, [-0.1 * spec.v_bi, bad, 0.0], regime)
+        assert type(exc.value) is expected[0]
+        assert str(exc.value) == expected[1]
+        assert getattr(exc.value, "v_max_reverse", None) == expected[2]
+    if spec.profile.l_d == 1e-6 and regime is not Regime.DEEP:
+        assert _point_error(spec, past_window, regime)[0] is EquilibriumInvalidError
+
+
+def test_cv_points_takes_any_iterable_and_rejects_unknown_regime():
+    grid = (0.5 * k for k in range(5))
+    assert cv_points(WORKED, grid) == cv_points(WORKED, [0.0, 0.5, 1.0, 1.5, 2.0])
+    assert cv_points(WORKED, []) == []
+    with pytest.raises(ValueError, match="auto"):
+        cv_points(WORKED, [1.0], "auto")

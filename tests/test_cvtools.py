@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from junctionlab import (Bias, CvCurve, GaussianProfile, JunctionSpec,
                          deserialize, fit, get_material, serialize, solve,
                          sweep, validity_window)
+from junctionlab import cvtools
 from junctionlab.cvtools import CSV_HEADER
 from junctionlab.errors import (CurveFormatError, FlatBandError,
                                 InsufficientDataError, JunctionError,
@@ -179,6 +180,32 @@ class TestFit:
             fit(curve, SI, 300.0, 5e20)
 
 
+@pytest.mark.parametrize("fit_vbi", [False, True])
+def test_residuals_equal_per_point_solve(fit_vbi):
+    # measured points past the forward edge (flat band), inside the window
+    # and past the reverse edge, at and around both edges
+    n0, l_d, n_b = 1e24, 1e-5, 1e21
+    theta = [math.log(n0), math.log(l_d)] + ([0.7] if fit_vbi else [])
+    profile = GaussianProfile(n0=math.exp(theta[0]), l_d=math.exp(theta[1]), n_b=n_b)
+    spec = JunctionSpec(material=SI, profile=profile, v_bi=0.7 if fit_vbi else None)
+    window = validity_window(spec)
+    lo, hi = -window.v_max_forward, window.v_max_reverse
+    biases = sorted({-3.0, lo, math.nextafter(lo, 0.0), -0.2, 0.0, 10.0,
+                     math.nextafter(hi, 0.0), hi, hi + 1.0, 1e3})
+    curve = CvCurve(points=tuple((v, 1e-4 / (2.0 + v / 100.0), None) for v in biases))
+    res = cvtools._residuals(theta, curve, SI, 300.0, n_b, fit_vbi)
+    expected = []
+    for v, c, _ in curve.points:
+        if v >= window.v_max_reverse:
+            expected.append(1e3 * (1.0 + v - window.v_max_reverse))
+        elif -v >= window.v_max_forward:
+            expected.append(1e3 * (1.0 - v - window.v_max_forward))
+        else:
+            expected.append((solve(spec, Bias.from_signed(v)).c_b - c) / c)
+    assert res == expected
+    assert sum(1 for v in biases if lo < v < hi) == 5
+
+
 def _panel(seed, count):
     """Seeded junctions in the acceptance ranges (N0 in [1e22, 1e26] m^-3,
     10 <= N0/N_B <= 1e4, L_d in [0.1, 100] um), each with a sweep from
@@ -277,6 +304,15 @@ class TestNonFinite:
     def test_json_non_numeric_value(self, point):
         with pytest.raises(CurveFormatError):
             deserialize(b'{"points": [' + point + b'], "spec": null}', "json")
+
+    def test_json_non_numeric_reported_before_overflow(self):
+        # every point is checked for a non-number before an overflow is reported
+        big = b'{"v_bias": 0.0, "c_b": 1' + b'0' * 400 + b'}'
+        for points in (big + b', {"v_bias": 1.0, "c_b": "x"}', b'{"v_bias": 1.0, "c_b": "x"}, ' + big):
+            with pytest.raises(CurveFormatError, match="non-numeric value 'x' in JSON curve"):
+                deserialize(b'{"points": [' + points + b'], "spec": null}', "json")
+        with pytest.raises(CurveFormatError, match="number too large for a float"):
+            deserialize(b'{"points": [' + big + b'], "spec": null}', "json")
 
     def test_json_nan_value(self):
         data = b'{"points": [{"v_bias": 0.0, "c_b": NaN, "w_sc": null}], "spec": null}'

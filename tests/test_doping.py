@@ -51,6 +51,12 @@ class TestDiffusionLength:
             with pytest.raises(ValueError):
                 DiffusionRecipe(d_i=1e-17, t_d=bad)
 
+    @pytest.mark.parametrize("d_i, t_d", [(1e200, 1e200), (1e160, 1e160), (1e-160, 1e-170)])
+    def test_product_outside_float_range_rejected(self, d_i, t_d):
+        # finite, positive inputs whose product overflows or underflows
+        with pytest.raises(ValueError, match=r"d_i = .* t_d = "):
+            diffusion_length(DiffusionRecipe(d_i=d_i, t_d=t_d))
+
 
 class TestDopingAt:
     profile = GaussianProfile(n0=1e24, l_d=1e-5, n_b=1e21)

@@ -1,8 +1,9 @@
 """scipy loads only on the paths that call it.
 
-The closed form, `sweep`, serialization and the CLI's `solve`, `sweep`
-and `materials` need no scipy (nor numpy); `momentsolver`, which imports
-`scipy.integrate`, is loaded on first use of one of its names.
+The closed form and its C-V kernel `cv_points`, `sweep`, serialization
+and the CLI's `solve`, `sweep` and `materials` need no scipy (nor numpy);
+`momentsolver`, which imports `scipy.integrate`, is loaded on first use of
+one of its names.
 """
 
 import json
@@ -30,6 +31,8 @@ bias = jl.Bias.from_signed(10.0)
 jl.solve(spec, bias)
 jl.capacitance(spec, bias)
 jl.validity_window(spec)
+for regime in ("general", "shallow", "deep"):
+    jl.cv_points(spec, [-0.3, 0.0, 10.0], regime)
 curve = jl.sweep(spec, -0.3, 20.0, 21)
 for fmt in ("csv", "json"):
     assert jl.deserialize(jl.serialize(curve, fmt), fmt).points == curve.points
