@@ -12,13 +12,13 @@ for a donor-diffused junction (positive charge sits at smaller x), which
 only reflects the choice of potential reference.
 """
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 from scipy.integrate import IntegrationWarning, quad as _scipy_quad
-from scipy.optimize import brentq
 
 
 def quad(*args, **kwargs):
@@ -34,6 +34,8 @@ from .errors import (StackExhaustedError, SurfaceReachedError,
 from .physcore import Material
 
 _QUAD_OPTS = dict(epsabs=1e-30, epsrel=1e-12, limit=200)
+# a root is accepted once a step is within _XTOL + _RTOL*|x|
+_XTOL, _RTOL = 1e-18, 8.9e-16
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,92 @@ def _segmented_quad(fn: Callable[[float], float], a: float, b: float, breaks) ->
     return total + quad(fn, lo, b, **_QUAD_OPTS)[0]
 
 
-def _moment_integrand(rho: ChargeProfile, eps_of_x) -> Callable[[float], float]:
-    """x*rho(x)/eps(x), raising on a non-finite value."""
+def _moment_integrand(rho: ChargeProfile, eps_of_x,
+                      centre: float = 0.0) -> Callable[[float], float]:
+    """(x - centre)*rho(x)/eps(x), raising on a non-finite value."""
     def integrand(x):
-        v = x * rho.fn(x) / eps_of_x(x)
+        v = (x - centre) * rho.fn(x) / eps_of_x(x)
         if not math.isfinite(v):
             raise ArithmeticError(f"non-finite integrand at x = {x:g} m")
         return v
     return integrand
+
+
+def _running_integral(fn: Callable[[float], float], origin: float,
+                      breaks) -> Callable[[float], float]:
+    """x -> integral of fn from origin to x, remembered at every x asked for.
+
+    A new x is integrated only from the nearest remembered point between
+    the origin and itself, so every value is a sum of increments growing
+    away from the origin, never a difference taken from a point farther
+    out, and asking again for a remembered x costs no quadrature.
+    """
+    xs, values = [origin], [0.0]
+
+    def value(x):
+        i = bisect.bisect_left(xs, x)
+        if i < len(xs) and xs[i] == x:
+            return values[i]
+        if x > origin:
+            v = values[i - 1] + _segmented_quad(fn, xs[i - 1], x, breaks)
+        else:
+            v = values[i] - _segmented_quad(fn, x, xs[i], breaks)
+        xs.insert(i, x)
+        values.insert(i, v)
+        return v
+    return value
+
+
+def _newton_point(x: float, fx: float, dfx: float) -> float:
+    """x - f/f', or nan where f' = 0."""
+    return x - fx / dfx if dfx else math.nan
+
+
+def _newton_in_bracket(f_df, neg: float, pos: float, x: float) -> float:
+    """Root of f between neg and pos, where f(neg) < 0 < f(pos), from the
+    guess x.
+
+    ``f_df(x)`` returns f and its derivative. Each step is Newton's while
+    it stays inside the shrinking bracket and is at most half the step
+    before last; otherwise it bisects (rtsafe, Numerical Recipes 9.4).
+    Returns the next point once the step to it is within
+    ``_XTOL + _RTOL*|x|``.
+    """
+    lo, hi = min(neg, pos), max(neg, pos)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    dx_old = dx = hi - lo
+    while True:
+        fx, dfx = f_df(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            neg = x
+        else:
+            pos = x
+        lo, hi = min(neg, pos), max(neg, pos)
+        x_new = _newton_point(x, fx, dfx)
+        if lo <= x_new <= hi and 2.0 * abs(x_new - x) <= dx_old:
+            dx_old, dx = dx, abs(x_new - x)
+        else:
+            dx_old, dx = dx, 0.5 * (hi - lo)
+            x_new = lo + dx
+        if dx <= _XTOL + _RTOL * abs(x_new):
+            return x_new
+        x = x_new
+
+
+def _forward_probe(origin: float, x: float, fx: float, dfx: float, scale: float) -> float:
+    """Next point past x, where an increasing f is still negative, in the
+    search for a bracket: twice the Newton step, since a Newton step
+    falls short on a concave f, but no farther than the larger of
+    ``scale`` and the distance from ``origin``; where that step is not
+    finite and forward, the distance from ``origin`` doubles (starting at
+    scale/100)."""
+    newton = _newton_point(x, fx, dfx)
+    if x < newton < math.inf:
+        return x + min(2.0 * (newton - x), max(x - origin, scale))
+    return x + max(x - origin, scale / 100.0)
 
 
 @dataclass(frozen=True)
@@ -155,11 +235,6 @@ def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
     return _segmented_quad(_moment_integrand(rho, eps_of_x), a, b, (*eps_breaks, *rho.steps))
 
 
-def total_charge(rho: ChargeProfile, a: float, b: float) -> float:
-    """Integral of rho over [a, b], C/m^2."""
-    return _segmented_quad(rho.fn, a, b, rho.steps)
-
-
 def _moment_supremum(rho: ChargeProfile, eps, x_start: float) -> float:
     """Limit of the moment integral as the right end goes to infinity."""
     # breaks at a few scales past x_start and at `far`, beyond every
@@ -174,32 +249,37 @@ def _moment_supremum(rho: ChargeProfile, eps, x_start: float) -> float:
 def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> ScrSolution:
     """Find x_right with |moment_integral(x_start, x_right)| = target.
 
-    Brackets by geometric expansion from scale/100, then Brent. Raises
-    UnreachablePotentialError (with the supremum) when the charge profile
-    cannot support the target potential.
+    The derivative of the moment in x_right is x_right*rho/eps there, so
+    the bracket grows by forward Newton steps (doubling from scale/100
+    where that derivative is 0) and a safeguarded Newton finds the root
+    inside it; the moment is integrated only over each new increment.
+    Raises UnreachablePotentialError (with the supremum) when the charge
+    profile cannot support the target potential.
     """
     if target <= 0.0:
         raise ValueError(f"target potential must be positive, got {target}")
-    _, _, eps_end = _as_eps(eps)
+    eps_of_x, eps_breaks, eps_end = _as_eps(eps)
+    integrand = _moment_integrand(rho, eps_of_x)
+    moment = _running_integral(integrand, x_start, (*eps_breaks, *rho.steps))
 
-    def f(b):
-        return abs(moment_integral(rho, eps, x_start, b)) - target
+    def f_df(b):
+        return abs(moment(b)) - target, abs(integrand(b))
 
-    # geometric bracket expansion; stagnating f with room left means the
-    # moment converges to a supremum below the target
-    w = rho.scale / 100.0
+    # expand until f >= 0; stagnating f with room left means the moment
+    # converges to a supremum below the target
     lo = x_start
+    f_lo, df_lo = f_df(lo)
     prev_fb = None
     while True:
-        b = min(x_start + w, eps_end)
-        fb = f(b)
+        b = min(_forward_probe(x_start, lo, f_lo, df_lo, rho.scale), eps_end)
+        fb, dfb = f_df(b)
         if fb >= 0.0:
-            hi = b
             break
         if b == eps_end:
             raise StackExhaustedError(
                 f"SCR would extend past the stack end at {eps_end:g} m "
                 f"(moment reaches only {fb + target:g} of {target:g} V)")
+        w = b - x_start
         stalled = (prev_fb is not None and fb - prev_fb <= 1e-14 * target
                    and w > 10.0 * rho.scale)
         if stalled or w / rho.scale > 1e15:
@@ -208,60 +288,83 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
                 raise UnreachablePotentialError(
                     f"target {target:g} V exceeds supremum {sup:g} V", supremum=sup)
         prev_fb = fb
-        lo = b
-        w *= 2.0
+        lo, f_lo, df_lo = b, fb, dfb
 
-    x_right = brentq(f, lo, hi, xtol=1e-18, rtol=8.9e-16)
-    m = abs(moment_integral(rho, eps, x_start, x_right))
-    return ScrSolution(x_left=x_start, x_right=x_right, moment_value=m)
+    x_right = _newton_in_bracket(f_df, lo, b, _newton_point(lo, f_lo, df_lo))
+    return ScrSolution(x_left=x_start, x_right=x_right, moment_value=abs(moment(x_right)))
 
 
 def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSolution:
     """Find (x_left, x_right) straddling x_j satisfying charge neutrality
     and |moment| = target simultaneously.
 
-    rho must be a signed net-model profile changing sign at x_j. Outer
-    Brent on x_right; inner Brent solves x_left from neutrality. Raises
+    rho must be a signed net-model profile changing sign at x_j. The
+    charge and the moment centred on x_j, integral of (x - x_j)*rho/eps,
+    are running integrals from x_j. A safeguarded Newton on x_right, with
+    derivative rho(x_right)*[(x_right - x_j)/eps(x_right) - (x_left -
+    x_j)/eps(x_left)], wraps one on x_left for neutrality, with derivative
+    rho(x_left), started from the nearest solved pair along
+    dx_left/dx_right = rho(x_right)/rho(x_left). ``moment_value`` is the
+    centred moment, which equals the moment of a neutral region of
+    constant permittivity. Raises
     SurfaceReachedError when neutrality would push x_left below 0.
     """
     if target <= 0.0:
         raise ValueError(f"target potential must be positive, got {target}")
+    eps_of_x, eps_breaks, _ = _as_eps(eps)
+    breaks = (*eps_breaks, *rho.steps)
+    charge = _running_integral(rho.fn, x_j, breaks)
+    moment = _running_integral(_moment_integrand(rho, eps_of_x, x_j), x_j, breaks)
+    charge_at_surface = charge(0.0)
+    solved = {}  # x_right -> (x_left, rho(x_right), rho(x_left))
 
-    def left_for(xr):
-        def g(xl):
-            return total_charge(rho, xl, xr)
-        if g(0.0) * g(x_j) > 0.0:
-            # even emptying the whole diffused side cannot balance the right
-            raise SurfaceReachedError(
-                f"SCR reaches the surface: right boundary {xr:g} m needs more "
-                f"compensating charge than exists above x_j")
-        return brentq(g, 0.0, x_j, xtol=1e-18, rtol=8.9e-16)
+    def left_for(xr, q_r):
+        # neutrality: charge(x_left) = charge(x_right); x_left stays at the
+        # surface once the whole diffused side cannot balance the right
+        h_surface, h_j = charge_at_surface - q_r, -q_r
+        if h_surface * h_j >= 0.0:
+            return 0.0
+        guess = 2.0 * x_j - xr  # exact for a profile odd about x_j
+        if solved:
+            near = min(solved, key=lambda x: abs(x - xr))
+            xl, rho_r, rho_l = solved[near]
+            if rho_l:
+                guess = xl + (xr - near) * rho_r / rho_l
+        neg, pos = (0.0, x_j) if h_surface < 0.0 else (x_j, 0.0)
+        return _newton_in_bracket(lambda x: (charge(x) - q_r, rho.fn(x)), neg, pos, guess)
 
-    def f(xr):
-        xl = left_for(xr)
-        return abs(moment_integral(rho, eps, xl, xr)) - target
+    def f_df(xr):
+        xl = left_for(xr, charge(xr))
+        rho_r, rho_l = rho.fn(xr), rho.fn(xl)
+        solved[xr] = (xl, rho_r, rho_l)
+        c = moment(xr) - moment(xl)
+        slope = (xr - x_j) / eps_of_x(xr)
+        if xl > 0.0:
+            slope -= (xl - x_j) / eps_of_x(xl)
+        dc = rho_r * slope
+        return abs(c) - target, dc if c > 0.0 else -dc
 
-    w = rho.scale / 100.0
-    lo = None
+    lo, f_lo, df_lo = x_j, -target, 0.0
     while True:
-        xr = x_j + w
-        fv = f(xr)
+        xr = _forward_probe(x_j, lo, f_lo, df_lo, rho.scale)
+        fv, dfv = f_df(xr)
         if fv >= 0.0:
-            hi = xr
             break
-        lo = xr
-        w *= 2.0
-        if w / rho.scale > 1e15:
+        if (xr - x_j) / rho.scale > 1e15:
             raise UnreachablePotentialError(
                 f"target {target:g} V not reached by two-sided solve",
                 supremum=fv + target)
-    if lo is None:
-        lo = x_j + w / 1e6
+        lo, f_lo, df_lo = xr, fv, dfv
 
-    x_right = brentq(f, lo, hi, xtol=1e-18, rtol=8.9e-16)
-    x_left = left_for(x_right)
-    m = abs(moment_integral(rho, eps, x_left, x_right))
-    return ScrSolution(x_left=x_left, x_right=x_right, moment_value=m)
+    x_right = _newton_in_bracket(f_df, lo, xr, _newton_point(lo, f_lo, df_lo))
+    q_right = charge(x_right)
+    if (charge_at_surface - q_right) * q_right < 0.0:
+        raise SurfaceReachedError(
+            f"SCR reaches the surface: right boundary {x_right:g} m needs more "
+            f"compensating charge than exists above x_j")
+    x_left = left_for(x_right, q_right)
+    return ScrSolution(x_left=x_left, x_right=x_right,
+                       moment_value=abs(moment(x_right) - moment(x_left)))
 
 
 def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,

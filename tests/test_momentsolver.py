@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from junctionlab import (Bias, ChargeProfile, GaussianProfile, HeteroStack,
-                         JunctionSpec, Material, Q, get_material,
+                         JunctionSpec, Material, Q, get_material, junction_depth,
                          moment_integral, reconstruct_field_potential,
                          solve_hetero, solve_one_sided, solve_two_sided,
                          validity_window, w_sc_general)
@@ -218,3 +219,102 @@ def test_oracle_agreement_on_bias_grid():
         r = w_sc_general(WORKED, Bias(v_r, "reverse"))
         sol = solve_one_sided(rho, SI.eps, WORKED.x_j, r.total_potential)
         assert_allclose(sol.x_right - sol.x_left, r.w_sc, rtol=1e-6)
+
+
+def net_reference(profile, x_j, x_left, x_right):
+    """Neutrality |net charge| / |charge on [x_left, x_j]| and the centred
+    moment |integral of (x - x_j)*rho/eps| of the net Gaussian over
+    [x_left, x_right], to 40 digits from its antiderivatives."""
+    with mpmath.workdps(40):
+        n0, n_b, l_d = (mpmath.mpf(v) for v in (profile.n0, profile.n_b, profile.l_d))
+        xl, xj, xr = (mpmath.mpf(v) for v in (x_left, x_j, x_right))
+
+        def charge(x):  # integral of rho/q from 0
+            return n0 * l_d * mpmath.sqrt(mpmath.pi) / 2 * mpmath.erf(x / l_d) - n_b * x
+
+        def first_moment(x):  # integral of x*rho/q from 0, less a constant
+            return -n0 * l_d ** 2 / 2 * mpmath.exp(-(x / l_d) ** 2) - n_b * x ** 2 / 2
+
+        net = charge(xr) - charge(xl)
+        neutrality = abs(net) / abs(charge(xj) - charge(xl))
+        centred = ((first_moment(xr) - first_moment(xl) - xj * net)
+                   * mpmath.mpf(Q) / mpmath.mpf(SI.eps))
+        return float(neutrality), float(abs(centred))
+
+
+class TestNewtonSolves:
+    @pytest.mark.parametrize("target", [1e-9, 1e-6, WORKED.v_bi - 0.5, WORKED.v_bi - 0.7])
+    def test_two_sided_small_and_forward_bias_targets(self, target):
+        # down to an SCR a few nm wide around x_j = 26 um, where moment
+        # and neutrality are only as good as integrals taken from x_j
+        sol = solve_two_sided(ChargeProfile.net(WORKED_PROFILE), SI.eps, WORKED.x_j, target)
+        neutrality, centred = net_reference(WORKED_PROFILE, WORKED.x_j, sol.x_left, sol.x_right)
+        assert sol.x_left < WORKED.x_j < sol.x_right
+        assert abs(sol.moment_value - target) <= 1e-10 * target
+        assert neutrality <= 1e-10
+        assert abs(centred - target) <= 1e-10 * target
+
+    def test_two_sided_surface_decided_at_the_solution(self):
+        # a neutral region whose left edge is the surface holds 20.04 V
+        # here (scipy quad/brentq on the profile); every target below that
+        # has a solution with x_left > 0, however far a bracket probe
+        # overshoots, and every target above it reaches the surface
+        p = GaussianProfile(n0=5e23, l_d=3e-7, n_b=2.5e23)
+        rho = ChargeProfile.net(p)
+        x_j = junction_depth(p)
+        for target in (10.0, 19.8):
+            sol = solve_two_sided(rho, SI.eps, x_j, target)
+            neutrality, centred = net_reference(p, x_j, sol.x_left, sol.x_right)
+            assert 0.0 < sol.x_left < x_j < sol.x_right
+            assert neutrality <= 1e-10
+            assert abs(centred - target) <= 1e-10 * target
+        with pytest.raises(SurfaceReachedError):
+            solve_two_sided(rho, SI.eps, x_j, 20.3)
+
+    @pytest.mark.parametrize("target", [1.0, 1e3])
+    def test_one_sided_from_zero_slope(self, target):
+        # the moment's slope x*rho/eps is 0 at x_start = 0, so there is no
+        # Newton step from it: at 1 V the first probe (scale/100) already
+        # overshoots and the root search starts by bisecting; at 1 kV the
+        # bracket search starts by doubling
+        rho = ChargeProfile.paper(WORKED_PROFILE)
+        pref = gaussian_moment_closed_form(1e24, 1e-5, SI.eps, 0.0, math.inf)
+        sol = solve_one_sided(rho, SI.eps, 0.0, target)
+        assert_allclose(sol.x_right, 1e-5 * math.sqrt(-math.log1p(-target / pref)), rtol=1e-10)
+        assert_allclose(sol.moment_value, target, rtol=1e-10)
+
+
+def test_quadrature_count(monkeypatch):
+    # machine-independent cost: quadratures per solve on the worked junction
+    from junctionlab import momentsolver
+    calls = 0
+    real_quad = momentsolver.quad
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(momentsolver, "quad", counted)
+    target = WORKED.v_bi + 10.0
+    solve_one_sided(ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, target)
+    assert calls <= 8
+    calls = 0
+    solve_two_sided(ChargeProfile.net(WORKED_PROFILE), SI.eps, WORKED.x_j, target)
+    assert calls <= 160
+
+
+def test_newton_helper_keeps_to_its_bracket():
+    # a Newton step on cbrt(x - 1) lands at twice the distance from the
+    # root on the other side, so only the bracket safeguard converges
+    from junctionlab.momentsolver import _newton_in_bracket
+    evals = []
+
+    def f_df(x):
+        evals.append(x)
+        assert 0.0 <= x <= 3.0 and len(evals) <= 200
+        d = x - 1.0
+        return math.copysign(abs(d) ** (1.0 / 3.0), d), (abs(d) ** (-2.0 / 3.0) / 3.0
+                                                          if d else math.inf)
+
+    assert abs(_newton_in_bracket(f_df, 0.0, 3.0, 1.5) - 1.0) <= 2e-15
