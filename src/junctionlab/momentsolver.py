@@ -14,26 +14,19 @@ only reflects the choice of potential reference.
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import IntegrationWarning, quad as _scipy_quad
-
-
-def quad(*args, **kwargs):
-    # requested tolerances sit at machine precision; scipy's roundoff
-    # warning fires routinely there without degrading the result
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return _scipy_quad(*args, **kwargs)
+from scipy.integrate import quad
 
 from .doping import GaussianProfile, charge_density, junction_depth
 from .errors import (StackExhaustedError, SurfaceReachedError,
                      UnreachablePotentialError)
-from .physcore import Material
 
-_QUAD_OPTS = dict(epsabs=1e-30, epsrel=1e-12, limit=200)
+# the requested tolerances sit at machine precision, where QUADPACK's
+# roundoff flag is routine and harmless; full_output returns that flag
+# in the result tuple instead of issuing an IntegrationWarning
+_QUAD_OPTS = dict(epsabs=1e-30, epsrel=1e-12, limit=200, full_output=1)
 # a root is accepted once a step is within _XTOL + _RTOL*|x|
 _XTOL, _RTOL = 1e-18, 8.9e-16
 
@@ -47,6 +40,10 @@ class ChargeProfile:
     fn: Callable[[float], float]
     steps: tuple = ()
     scale: float = 1e-6
+
+    def __post_init__(self):
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
     @classmethod
     def paper(cls, profile: GaussianProfile) -> "ChargeProfile":
@@ -227,23 +224,14 @@ def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
     ``b`` may be inf when the permittivity is constant past the last
     breakpoint.
     """
-    if b < a:
+    if not -math.inf < a < math.inf:
+        raise ValueError(f"lower limit must be finite, got {a}")
+    if not a <= b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
     if b == a:
         return 0.0
     eps_of_x, eps_breaks, _ = _as_eps(eps)
     return _segmented_quad(_moment_integrand(rho, eps_of_x), a, b, (*eps_breaks, *rho.steps))
-
-
-def _moment_supremum(rho: ChargeProfile, eps, x_start: float) -> float:
-    """Limit of the moment integral as the right end goes to infinity."""
-    # breaks at a few scales past x_start and at `far`, beyond every
-    # step, so adaptive quadrature cannot miss the near-field feature
-    eps_of_x, eps_breaks, _ = _as_eps(eps)
-    far = max([x_start + 100.0 * rho.scale, *rho.steps, *eps_breaks])
-    heads = [x_start + k * rho.scale for k in (1.0, 3.0, 10.0, 30.0)]
-    return _segmented_quad(_moment_integrand(rho, eps_of_x), x_start, math.inf,
-                           (*heads, far, *rho.steps, *eps_breaks))
 
 
 def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> ScrSolution:
@@ -256,9 +244,11 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     Raises UnreachablePotentialError (with the supremum) when the charge
     profile cannot support the target potential.
     """
-    if target <= 0.0:
-        raise ValueError(f"target potential must be positive, got {target}")
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"target potential must be finite and positive, got {target}")
     eps_of_x, eps_breaks, eps_end = _as_eps(eps)
+    if not 0.0 <= x_start < math.inf or x_start > eps_end:
+        raise ValueError(f"x_start = {x_start:g} m must be finite and within [0, {eps_end:g}] m")
     integrand = _moment_integrand(rho, eps_of_x)
     moment = _running_integral(integrand, x_start, (*eps_breaks, *rho.steps))
 
@@ -283,7 +273,9 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
         stalled = (prev_fb is not None and fb - prev_fb <= 1e-14 * target
                    and w > 10.0 * rho.scale)
         if stalled or w / rho.scale > 1e15:
-            sup = _moment_supremum(rho, eps, x_start)
+            # the probes have integrated the near field; one tail
+            # quadrature from the last of them finishes the moment
+            sup = abs(moment(math.inf))
             if target >= sup:
                 raise UnreachablePotentialError(
                     f"target {target:g} V exceeds supremum {sup:g} V", supremum=sup)
@@ -309,8 +301,10 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
     constant permittivity. Raises
     SurfaceReachedError when neutrality would push x_left below 0.
     """
-    if target <= 0.0:
-        raise ValueError(f"target potential must be positive, got {target}")
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"target potential must be finite and positive, got {target}")
+    if not 0.0 < x_j < math.inf:
+        raise ValueError(f"x_j must be finite and positive, got {x_j}")
     eps_of_x, eps_breaks, _ = _as_eps(eps)
     breaks = (*eps_breaks, *rho.steps)
     charge = _running_integral(rho.fn, x_j, breaks)
@@ -371,29 +365,23 @@ def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
                                 x_right: float, n_samples: int = 101) -> list:
     """Sample (x, E, u) on the solved SCR.
 
-    E(x) is the cumulative integral of rho/eps from x_left; u(x) is
+    E(x) is the running integral of rho/eps from x_left; u(x) is
     -integral of E with u(x_left) = 0, evaluated as a single quadrature of
-    (x - t)*rho(t)/eps(t) per sample point.
+    the moment centred on x, (t - x)*rho(t)/eps(t), per sample point.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if not -math.inf < x_left <= x_right < math.inf:
+        raise ValueError(f"need finite x_left <= x_right, got [{x_left}, {x_right}]")
     eps_of_x, eps_breaks, _ = _as_eps(eps)
-    xs = [x_left + (x_right - x_left) * i / (n_samples - 1) for i in range(n_samples)]
-
     breaks = (*rho.steps, *eps_breaks)
+    field = _running_integral(lambda t: rho.fn(t) / eps_of_x(t), x_left, breaks)
     out = []
-    e_acc = 0.0
-    prev = xs[0]
-    for x in xs:
-        if x > prev:
-            e_acc += _segmented_quad(lambda t: rho.fn(t) / eps_of_x(t), prev, x, breaks)
-            prev = x
-        if x == x_left:
-            u = 0.0
-        else:
-            u = -_segmented_quad(lambda t: (x - t) * rho.fn(t) / eps_of_x(t), x_left, x,
-                                 breaks)
-        out.append((x, e_acc, u))
+    for i in range(n_samples):
+        x = x_left + (x_right - x_left) * i / (n_samples - 1)
+        u = (_segmented_quad(_moment_integrand(rho, eps_of_x, x), x_left, x, breaks)
+             if x != x_left else 0.0)
+        out.append((x, field(x), u))
     return out
 
 
@@ -404,6 +392,4 @@ def solve_hetero(stack: HeteroStack, rho: ChargeProfile, x_start: float,
     Quadrature splits at every layer boundary the SCR crosses; raises
     StackExhaustedError when the SCR would leave the stack.
     """
-    if not (0.0 <= x_start <= stack.total_thickness):
-        raise ValueError(f"x_start = {x_start:g} m outside stack [0, {stack.total_thickness:g}] m")
     return solve_one_sided(rho, stack, x_start, target)

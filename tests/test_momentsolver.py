@@ -66,6 +66,20 @@ class TestMomentIntegral:
         with pytest.raises(ArithmeticError):
             moment_integral(rho, 1.0, 0.0, 1.0)
 
+    def test_infinite_upper_limit(self):
+        rho = ChargeProfile(fn=lambda x: math.exp(-x * x), scale=1.0)
+        assert_allclose(moment_integral(rho, 1.0, 0.0, math.inf), 0.5, rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [-1e-6, 0.0, math.nan, math.inf, -math.inf])
+def test_charge_profile_scale_validation(scale):
+    # a scale that is not finite and positive would stall the bracket
+    # search at a zero-slope origin, so only the constructor is called
+    with pytest.raises(ValueError):
+        ChargeProfile.step(1.0, scale=scale)
+    with pytest.raises(ValueError):
+        ChargeProfile(fn=lambda x: 1.0, scale=scale)
+
 
 class TestSolveOneSided:
     def test_constant_charge_textbook_width(self):
@@ -284,6 +298,63 @@ class TestNewtonSolves:
         assert_allclose(sol.moment_value, target, rtol=1e-10)
 
 
+def test_two_sided_unreachable_target():
+    # +qN on [0, x_j), -qN on [x_j, 2 x_j), 0 beyond: a neutral region
+    # holds at most q*N*x_j^2/eps, however far x_right moves
+    n, x_j = 1e21, 5e-6
+
+    def fn(x):
+        if 0.0 <= x < x_j:
+            return Q * n
+        return -Q * n if x < 2.0 * x_j else 0.0
+    rho = ChargeProfile(fn=fn, steps=(x_j, 2.0 * x_j), scale=1e-6)
+    with pytest.raises(UnreachablePotentialError) as exc:
+        solve_two_sided(rho, SI.eps, x_j, 1e6)
+    assert_allclose(exc.value.supremum, Q * n * x_j ** 2 / SI.eps, rtol=1e-10)
+
+
+_STACK = HeteroStack(layers=((SI, 1e-6), (SI, 1e-3)))
+_STEP = ChargeProfile.step(Q * 1e21, scale=1e-6)
+_PAPER = ChargeProfile.paper(WORKED_PROFILE)
+_NET = ChargeProfile.net(WORKED_PROFILE)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_one_sided(_PAPER, SI.eps, WORKED.x_j, math.nan),
+    lambda: solve_one_sided(_PAPER, SI.eps, WORKED.x_j, math.inf),
+    lambda: solve_one_sided(_PAPER, SI.eps, math.nan, 1.0),
+    lambda: solve_one_sided(_PAPER, SI.eps, math.inf, 1.0),
+    lambda: solve_one_sided(_STEP, SI.eps, -1e-6, 0.01),
+    lambda: solve_one_sided(_STEP, _STACK, -1e-6, 0.01),
+    lambda: solve_one_sided(_STEP, _STACK, 2e-3, 0.01),
+    lambda: solve_hetero(_STACK, _STEP, -1e-6, 0.01),
+    lambda: solve_two_sided(_NET, SI.eps, WORKED.x_j, math.nan),
+    lambda: solve_two_sided(_NET, SI.eps, WORKED.x_j, math.inf),
+    lambda: solve_two_sided(_NET, SI.eps, math.nan, 1.0),
+    lambda: solve_two_sided(_NET, SI.eps, 0.0, 1.0),
+    lambda: moment_integral(_PAPER, SI.eps, 0.0, math.nan),
+    lambda: moment_integral(_PAPER, SI.eps, math.nan, 1e-5),
+    lambda: moment_integral(_STEP, SI.eps, -math.inf, 0.0),
+    lambda: moment_integral(_PAPER, SI.eps, math.inf, math.inf),
+    lambda: reconstruct_field_potential(_NET, SI.eps, 3e-5, 2e-5, 5),
+    lambda: reconstruct_field_potential(_NET, SI.eps, math.nan, 2e-5, 5),
+    lambda: reconstruct_field_potential(_NET, SI.eps, 2e-5, math.nan, 5),
+    lambda: reconstruct_field_potential(_NET, SI.eps, 2e-5, math.inf, 5),
+], ids=["one-sided-nan-target", "one-sided-inf-target", "one-sided-nan-start",
+        "one-sided-inf-start", "one-sided-negative-start", "stack-negative-start",
+        "stack-start-past-end", "hetero-negative-start", "two-sided-nan-target",
+        "two-sided-inf-target", "two-sided-nan-xj", "two-sided-zero-xj",
+        "moment-nan-b", "moment-nan-a", "moment-infinite-a", "moment-inf-inf",
+        "reconstruct-reversed", "reconstruct-nan-left", "reconstruct-nan-right",
+        "reconstruct-inf-right"])
+def test_entry_points_reject_bad_input(call):
+    # a plain ValueError, before any solve: no JunctionError subclass
+    # raised from a probe, and no hang
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError
+
+
 def test_quadrature_count(monkeypatch):
     # machine-independent cost: quadratures per solve on the worked junction
     from junctionlab import momentsolver
@@ -300,8 +371,18 @@ def test_quadrature_count(monkeypatch):
     solve_one_sided(ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, target)
     assert calls <= 8
     calls = 0
-    solve_two_sided(ChargeProfile.net(WORKED_PROFILE), SI.eps, WORKED.x_j, target)
+    sol = solve_two_sided(ChargeProfile.net(WORKED_PROFILE), SI.eps, WORKED.x_j, target)
     assert calls <= 160
+    calls = 0
+    reconstruct_field_potential(ChargeProfile.net(WORKED_PROFILE), SI.eps,
+                                sol.x_left, sol.x_right, 201)
+    assert calls <= 400
+    # past the supremum the running moment is carried to infinity by one
+    # more quadrature, not integrated again from x_start
+    calls = 0
+    with pytest.raises(UnreachablePotentialError):
+        solve_one_sided(ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, 200.0)
+    assert calls <= 6
 
 
 def test_newton_helper_keeps_to_its_bracket():
