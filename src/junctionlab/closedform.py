@@ -136,6 +136,9 @@ def validity_window(spec: JunctionSpec, regime: str | Regime = "general") -> Val
 
     v_max_reverse is the exclusive supremum of admissible V_R; when it is
     <= 0 the formula cannot represent this junction even at equilibrium.
+    The point test in ``solve`` and ``cv_points`` rounds differently and
+    decides only to within about one ulp of V_bi + V, so a bias just
+    below v_max_reverse may still be rejected there.
     """
     supportable = spec.potential_scale * log_argument(spec, 0.0, Regime(regime))
     v_max_reverse = supportable - spec.v_bi

@@ -177,12 +177,13 @@ def _residuals(theta, measured, material, temp, n_b, fit_vbi):
         vbi = theta[2] if fit_vbi else default_vbi(profile, material, temp)
         spec = JunctionSpec(material=material, profile=profile, temp=temp, v_bi=vbi)
         window = validity_window(spec)
+        # one kernel call for the points inside the window
+        model = iter(cv_points(spec, [v for v, _, _ in measured.points
+                                      if -window.v_max_forward < v < window.v_max_reverse]))
     except (JunctionError, ArithmeticError, ValueError):
-        # no finite junction at this trial point (fit has checked temp)
+        # no finite junction at this trial point (fit has checked temp),
+        # or a point within rounding of the window's edge
         return [1e6] * len(measured)
-    # one kernel call for the points inside the window
-    model = iter(cv_points(spec, [v for v, _, _ in measured.points
-                                  if -window.v_max_forward < v < window.v_max_reverse]))
     res = []
     for v, c_meas, _ in measured.points:
         if v >= window.v_max_reverse:

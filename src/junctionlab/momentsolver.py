@@ -13,6 +13,7 @@ only reflects the choice of potential reference.
 """
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -69,7 +70,7 @@ class ChargeProfile:
 
 @dataclass(frozen=True)
 class HeteroStack:
-    """Ordered layers of (material, thickness); boundaries accumulate from 0."""
+    """Ordered layers of (material, thickness), stacked from x = 0."""
 
     layers: tuple
 
@@ -80,19 +81,6 @@ class HeteroStack:
             if not 0.0 < t < math.inf:
                 raise ValueError(f"layer thickness must be finite and positive, got {t}")
 
-    @property
-    def boundaries(self) -> list[float]:
-        """Interior interfaces plus the far end (total thickness last)."""
-        out, acc = [], 0.0
-        for _, t in self.layers:
-            acc += t
-            out.append(acc)
-        return out
-
-    @property
-    def total_thickness(self) -> float:
-        return self.boundaries[-1]
-
     def eps_at(self, x: float) -> float:
         acc = 0.0
         for mat, t in self.layers:
@@ -102,13 +90,15 @@ class HeteroStack:
         raise StackExhaustedError(f"x = {x:g} m beyond stack end {acc:g} m")
 
 
-def _as_eps(eps) -> tuple[Callable[[float], float], list[float], float]:
-    """Normalize a permittivity argument (constant or HeteroStack) to
-    (eps_of_x, interior breakpoints, hard upper limit or inf)."""
+def _domain(rho: ChargeProfile, eps) -> tuple[Callable[[float], float], tuple, float]:
+    """(eps_of_x, breaks, end) for a constant or HeteroStack permittivity:
+    the stack's interior interfaces plus rho's steps, and the stack end
+    (inf for a constant)."""
     if isinstance(eps, HeteroStack):
-        return eps.eps_at, eps.boundaries[:-1], eps.total_thickness
+        *interfaces, end = itertools.accumulate(t for _, t in eps.layers)
+        return eps.eps_at, (*interfaces, *rho.steps), end
     value = float(eps)
-    return (lambda x: value), [], math.inf
+    return (lambda x: value), rho.steps, math.inf
 
 
 def _segmented_quad(fn: Callable[[float], float], a: float, b: float, breaks) -> float:
@@ -219,10 +209,11 @@ class ScrSolution:
 def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
     """Definite integral of x*rho(x)/eps(x) over [a, b].
 
-    Splits at every permittivity boundary and declared charge step;
-    adaptive quadrature to 1e-10 relative (1e-12 requested internally).
-    ``b`` may be inf when the permittivity is constant past the last
-    breakpoint.
+    Splits at every permittivity boundary and declared charge step, and
+    at a + rho.scale*(1, 3, 10, 30, 100), so that a charge narrow against
+    [a, b] is not missed; adaptive quadrature to 1e-10 relative (1e-12
+    requested internally). ``b`` may be inf when the permittivity is
+    constant past the last breakpoint.
     """
     if not -math.inf < a < math.inf:
         raise ValueError(f"lower limit must be finite, got {a}")
@@ -230,8 +221,9 @@ def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
     if b == a:
         return 0.0
-    eps_of_x, eps_breaks, _ = _as_eps(eps)
-    return _segmented_quad(_moment_integrand(rho, eps_of_x), a, b, (*eps_breaks, *rho.steps))
+    eps_of_x, breaks, _ = _domain(rho, eps)
+    near = (a + rho.scale * k for k in (1, 3, 10, 30, 100))
+    return _segmented_quad(_moment_integrand(rho, eps_of_x), a, b, (*breaks, *near))
 
 
 def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> ScrSolution:
@@ -246,11 +238,11 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     """
     if not 0.0 < target < math.inf:
         raise ValueError(f"target potential must be finite and positive, got {target}")
-    eps_of_x, eps_breaks, eps_end = _as_eps(eps)
+    eps_of_x, breaks, eps_end = _domain(rho, eps)
     if not 0.0 <= x_start < math.inf or x_start > eps_end:
         raise ValueError(f"x_start = {x_start:g} m must be finite and within [0, {eps_end:g}] m")
     integrand = _moment_integrand(rho, eps_of_x)
-    moment = _running_integral(integrand, x_start, (*eps_breaks, *rho.steps))
+    moment = _running_integral(integrand, x_start, breaks)
 
     def f_df(b):
         return abs(moment(b)) - target, abs(integrand(b))
@@ -273,9 +265,9 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
         stalled = (prev_fb is not None and fb - prev_fb <= 1e-14 * target
                    and w > 10.0 * rho.scale)
         if stalled or w / rho.scale > 1e15:
-            # the probes have integrated the near field; one tail
-            # quadrature from the last of them finishes the moment
-            sup = abs(moment(math.inf))
+            # the probes have integrated the near field; one tail quadrature
+            # from the last of them to the domain's end finishes the moment
+            sup = abs(moment(eps_end))
             if target >= sup:
                 raise UnreachablePotentialError(
                     f"target {target:g} V exceeds supremum {sup:g} V", supremum=sup)
@@ -305,8 +297,7 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
         raise ValueError(f"target potential must be finite and positive, got {target}")
     if not 0.0 < x_j < math.inf:
         raise ValueError(f"x_j must be finite and positive, got {x_j}")
-    eps_of_x, eps_breaks, _ = _as_eps(eps)
-    breaks = (*eps_breaks, *rho.steps)
+    eps_of_x, breaks, _ = _domain(rho, eps)
     charge = _running_integral(rho.fn, x_j, breaks)
     moment = _running_integral(_moment_integrand(rho, eps_of_x, x_j), x_j, breaks)
     charge_at_surface = charge(0.0)
@@ -373,8 +364,7 @@ def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
         raise ValueError("need at least 2 samples")
     if not -math.inf < x_left <= x_right < math.inf:
         raise ValueError(f"need finite x_left <= x_right, got [{x_left}, {x_right}]")
-    eps_of_x, eps_breaks, _ = _as_eps(eps)
-    breaks = (*rho.steps, *eps_breaks)
+    eps_of_x, breaks, _ = _domain(rho, eps)
     field = _running_integral(lambda t: rho.fn(t) / eps_of_x(t), x_left, breaks)
     out = []
     for i in range(n_samples):

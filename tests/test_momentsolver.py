@@ -70,6 +70,16 @@ class TestMomentIntegral:
         rho = ChargeProfile(fn=lambda x: math.exp(-x * x), scale=1.0)
         assert_allclose(moment_integral(rho, 1.0, 0.0, math.inf), 0.5, rtol=1e-12)
 
+    @pytest.mark.parametrize("a, b", [(WORKED.x_j, math.inf), (0.0, math.inf),
+                                      (WORKED.x_j, 1.0)],
+                             ids=["xj-inf", "zero-inf", "xj-1m"])
+    def test_narrow_charge_over_a_wide_interval(self, a, b):
+        # a 10 um Gaussian on an interval metres long: one panel's nodes
+        # would all fall where it has underflowed to 0
+        rho = ChargeProfile.paper(WORKED_PROFILE)
+        expected = gaussian_moment_closed_form(1e24, 1e-5, SI.eps, a, b)
+        assert_allclose(moment_integral(rho, SI.eps, a, b), expected, rtol=1e-12)
+
 
 @pytest.mark.parametrize("scale", [-1e-6, 0.0, math.nan, math.inf, -math.inf])
 def test_charge_profile_scale_validation(scale):
@@ -97,12 +107,15 @@ class TestSolveOneSided:
         assert_allclose(sol.x_right - sol.x_left, r.w_sc, rtol=1e-6)
 
     def test_unreachable_supremum_matches_window(self):
+        # the supremum's tail ends at the domain's end: infinity, or the
+        # 1 mm stack end, past which the Gaussian has long underflowed
         rho = ChargeProfile.paper(WORKED_PROFILE)
         window = validity_window(WORKED)
-        with pytest.raises(UnreachablePotentialError) as exc:
-            solve_one_sided(rho, SI.eps, WORKED.x_j, 200.0)
-        assert_allclose(exc.value.supremum, window.v_max_reverse + WORKED.v_bi,
-                        rtol=1e-9)
+        for eps in (SI.eps, HeteroStack(layers=((SI, 1e-3),))):
+            with pytest.raises(UnreachablePotentialError) as exc:
+                solve_one_sided(rho, eps, WORKED.x_j, 200.0)
+            assert_allclose(exc.value.supremum, window.v_max_reverse + WORKED.v_bi,
+                            rtol=1e-9)
 
     def test_nonpositive_target_rejected(self):
         rho = ChargeProfile.paper(WORKED_PROFILE)
@@ -382,6 +395,15 @@ def test_quadrature_count(monkeypatch):
     calls = 0
     with pytest.raises(UnreachablePotentialError):
         solve_one_sided(ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, 200.0)
+    assert calls <= 6
+    # in a stack the tail stops at the stack end, at the same cost
+    calls = 0
+    with pytest.raises(UnreachablePotentialError):
+        solve_one_sided(ChargeProfile.paper(WORKED_PROFILE), HeteroStack(layers=((SI, 1e-3),)),
+                        WORKED.x_j, 200.0)
+    assert calls <= 6
+    calls = 0
+    moment_integral(ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, math.inf)
     assert calls <= 6
 
 
