@@ -49,7 +49,8 @@ class SurfaceReachedError(JunctionError):
 
 
 class StackExhaustedError(JunctionError):
-    """Hetero solve: the space charge region extends past the last layer."""
+    """One- or two-sided solve in a HeteroStack: the space charge region
+    would extend past the last layer."""
 
 
 class InsufficientDataError(JunctionError):

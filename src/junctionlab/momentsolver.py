@@ -90,25 +90,22 @@ class HeteroStack:
         raise StackExhaustedError(f"x = {x:g} m beyond stack end {acc:g} m")
 
 
-def _domain(rho: ChargeProfile, eps) -> tuple[Callable[[float], float], tuple, float]:
+def _domain(rho: ChargeProfile, eps, lo: float,
+            hi: float) -> tuple[Callable[[float], float], tuple, float]:
     """(eps_of_x, breaks, end) for a constant or HeteroStack permittivity:
     the stack's interior interfaces plus rho's steps, and the stack end
-    (inf for a constant)."""
+    (inf for a constant). Raises ValueError unless lo is finite and
+    lo <= hi <= end."""
     if isinstance(eps, HeteroStack):
         *interfaces, end = itertools.accumulate(t for _, t in eps.layers)
-        return eps.eps_at, (*interfaces, *rho.steps), end
-    value = float(eps)
-    return (lambda x: value), rho.steps, math.inf
-
-
-def _segmented_quad(fn: Callable[[float], float], a: float, b: float, breaks) -> float:
-    """Integral of fn over [a, b], one quadrature per piece between the
-    breaks that lie strictly inside, summed left to right."""
-    total, lo = 0.0, a
-    for p in sorted({p for p in breaks if a < p < b}):
-        total += quad(fn, lo, p, **_QUAD_OPTS)[0]
-        lo = p
-    return total + quad(fn, lo, b, **_QUAD_OPTS)[0]
+        eps_of_x, breaks = eps.eps_at, (*interfaces, *rho.steps)
+    else:
+        value = float(eps)
+        eps_of_x, breaks, end = (lambda x: value), rho.steps, math.inf
+    if not (-math.inf < lo < math.inf and lo <= hi <= end):
+        raise ValueError(f"need a finite start and start <= stop <= {end:g} m, "
+                         f"got [{lo:g}, {hi:g}]")
+    return eps_of_x, breaks, end
 
 
 def _moment_integrand(rho: ChargeProfile, eps_of_x,
@@ -129,7 +126,8 @@ def _running_integral(fn: Callable[[float], float], origin: float,
     A new x is integrated only from the nearest remembered point between
     the origin and itself, so every value is a sum of increments growing
     away from the origin, never a difference taken from a point farther
-    out, and asking again for a remembered x costs no quadrature.
+    out, and asking again for a remembered x costs no quadrature. Each
+    increment is split at the breaks inside it, summed left to right.
     """
     xs, values = [origin], [0.0]
 
@@ -137,10 +135,12 @@ def _running_integral(fn: Callable[[float], float], origin: float,
         i = bisect.bisect_left(xs, x)
         if i < len(xs) and xs[i] == x:
             return values[i]
-        if x > origin:
-            v = values[i - 1] + _segmented_quad(fn, xs[i - 1], x, breaks)
-        else:
-            v = values[i] - _segmented_quad(fn, x, xs[i], breaks)
+        lo, hi = (xs[i - 1], x) if x > origin else (x, xs[i])
+        step = 0.0
+        for p in (*sorted({p for p in breaks if lo < p < hi}), hi):
+            step += quad(fn, lo, p, **_QUAD_OPTS)[0]
+            lo = p
+        v = values[i - 1] + step if x > origin else values[i] - step
         xs.insert(i, x)
         values.insert(i, v)
         return v
@@ -199,6 +199,37 @@ def _forward_probe(origin: float, x: float, fx: float, dfx: float, scale: float)
     return x + max(x - origin, scale / 100.0)
 
 
+def _solve_outward(f_df, supremum, origin: float, df_origin: float, scale: float,
+                   end: float, target: float) -> float:
+    """Root past origin of f = |moment| - target, with ``f_df(x)`` giving
+    f and f', from f = -target with slope df_origin at origin: forward
+    probes up to ``end`` until f >= 0, then _newton_in_bracket. A stalled
+    f, or a probe 1e15 scales out, compares the target with
+    ``supremum()``, |moment| at the end."""
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"target potential must be finite and positive, got {target}")
+    lo, f_lo, df_lo = origin, -target, df_origin
+    while True:
+        b = min(_forward_probe(origin, lo, f_lo, df_lo, scale), end)
+        fb, dfb = f_df(b)
+        if fb >= 0.0:
+            break
+        if b == end:
+            raise StackExhaustedError(
+                f"SCR would extend past the stack end at {end:g} m "
+                f"(moment reaches only {fb + target:g} of {target:g} V)")
+        w = b - origin
+        if (fb - f_lo <= 1e-14 * target and w > 10.0 * scale) or w / scale > 1e15:
+            # the probes have integrated the near field, so the supremum
+            # needs only the tail from the last of them to the domain's end
+            sup = supremum()
+            if target >= sup:
+                raise UnreachablePotentialError(
+                    f"target {target:g} V exceeds supremum {sup:g} V", supremum=sup)
+        lo, f_lo, df_lo = b, fb, dfb
+    return _newton_in_bracket(f_df, lo, b, _newton_point(lo, f_lo, df_lo))
+
+
 @dataclass(frozen=True)
 class ScrSolution:
     x_left: float
@@ -212,18 +243,13 @@ def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
     Splits at every permittivity boundary and declared charge step, and
     at a + rho.scale*(1, 3, 10, 30, 100), so that a charge narrow against
     [a, b] is not missed; adaptive quadrature to 1e-10 relative (1e-12
-    requested internally). ``b`` may be inf when the permittivity is
-    constant past the last breakpoint.
+    requested internally). ``a`` must be finite and ``a <= b``; ``b``
+    may be inf only for a constant permittivity, and for a HeteroStack
+    must not pass the stack end.
     """
-    if not -math.inf < a < math.inf:
-        raise ValueError(f"lower limit must be finite, got {a}")
-    if not a <= b:
-        raise ValueError(f"need a <= b, got [{a}, {b}]")
-    if b == a:
-        return 0.0
-    eps_of_x, breaks, _ = _domain(rho, eps)
+    eps_of_x, breaks, _ = _domain(rho, eps, a, b)
     near = (a + rho.scale * k for k in (1, 3, 10, 30, 100))
-    return _segmented_quad(_moment_integrand(rho, eps_of_x), a, b, (*breaks, *near))
+    return _running_integral(_moment_integrand(rho, eps_of_x), a, (*breaks, *near))(b)
 
 
 def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> ScrSolution:
@@ -233,48 +259,21 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     the bracket grows by forward Newton steps (doubling from scale/100
     where that derivative is 0) and a safeguarded Newton finds the root
     inside it; the moment is integrated only over each new increment.
-    Raises UnreachablePotentialError (with the supremum) when the charge
-    profile cannot support the target potential.
+    Raises UnreachablePotentialError (with the supremum, the moment to the
+    domain's end) when the charge profile cannot support the target
+    potential, and StackExhaustedError when the SCR would leave the stack.
     """
-    if not 0.0 < target < math.inf:
-        raise ValueError(f"target potential must be finite and positive, got {target}")
-    eps_of_x, breaks, eps_end = _domain(rho, eps)
-    if not 0.0 <= x_start < math.inf or x_start > eps_end:
-        raise ValueError(f"x_start = {x_start:g} m must be finite and within [0, {eps_end:g}] m")
+    eps_of_x, breaks, end = _domain(rho, eps, x_start, x_start)
+    if not x_start >= 0.0:
+        raise ValueError(f"x_start = {x_start:g} m must not be negative")
     integrand = _moment_integrand(rho, eps_of_x)
     moment = _running_integral(integrand, x_start, breaks)
 
     def f_df(b):
         return abs(moment(b)) - target, abs(integrand(b))
 
-    # expand until f >= 0; stagnating f with room left means the moment
-    # converges to a supremum below the target
-    lo = x_start
-    f_lo, df_lo = f_df(lo)
-    prev_fb = None
-    while True:
-        b = min(_forward_probe(x_start, lo, f_lo, df_lo, rho.scale), eps_end)
-        fb, dfb = f_df(b)
-        if fb >= 0.0:
-            break
-        if b == eps_end:
-            raise StackExhaustedError(
-                f"SCR would extend past the stack end at {eps_end:g} m "
-                f"(moment reaches only {fb + target:g} of {target:g} V)")
-        w = b - x_start
-        stalled = (prev_fb is not None and fb - prev_fb <= 1e-14 * target
-                   and w > 10.0 * rho.scale)
-        if stalled or w / rho.scale > 1e15:
-            # the probes have integrated the near field; one tail quadrature
-            # from the last of them to the domain's end finishes the moment
-            sup = abs(moment(eps_end))
-            if target >= sup:
-                raise UnreachablePotentialError(
-                    f"target {target:g} V exceeds supremum {sup:g} V", supremum=sup)
-        prev_fb = fb
-        lo, f_lo, df_lo = b, fb, dfb
-
-    x_right = _newton_in_bracket(f_df, lo, b, _newton_point(lo, f_lo, df_lo))
+    x_right = _solve_outward(f_df, lambda: abs(moment(end)), x_start,
+                             abs(integrand(x_start)), rho.scale, end, target)
     return ScrSolution(x_left=x_start, x_right=x_right, moment_value=abs(moment(x_right)))
 
 
@@ -290,23 +289,22 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
     rho(x_left), started from the nearest solved pair along
     dx_left/dx_right = rho(x_right)/rho(x_left). ``moment_value`` is the
     centred moment, which equals the moment of a neutral region of
-    constant permittivity. Raises
-    SurfaceReachedError when neutrality would push x_left below 0.
+    constant permittivity. Raises SurfaceReachedError when neutrality
+    would push x_left below 0, StackExhaustedError when x_right would
+    leave the stack, and UnreachablePotentialError with the supremum, the
+    moment of the neutral region ending at the domain's end.
     """
-    if not 0.0 < target < math.inf:
-        raise ValueError(f"target potential must be finite and positive, got {target}")
-    if not 0.0 < x_j < math.inf:
+    eps_of_x, breaks, end = _domain(rho, eps, x_j, x_j)
+    if not x_j > 0.0:
         raise ValueError(f"x_j must be finite and positive, got {x_j}")
-    eps_of_x, breaks, _ = _domain(rho, eps)
     charge = _running_integral(rho.fn, x_j, breaks)
     moment = _running_integral(_moment_integrand(rho, eps_of_x, x_j), x_j, breaks)
-    charge_at_surface = charge(0.0)
     solved = {}  # x_right -> (x_left, rho(x_right), rho(x_left))
 
     def left_for(xr, q_r):
         # neutrality: charge(x_left) = charge(x_right); x_left stays at the
         # surface once the whole diffused side cannot balance the right
-        h_surface, h_j = charge_at_surface - q_r, -q_r
+        h_surface, h_j = charge(0.0) - q_r, -q_r
         if h_surface * h_j >= 0.0:
             return 0.0
         guess = 2.0 * x_j - xr  # exact for a profile odd about x_j
@@ -329,21 +327,10 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
         dc = rho_r * slope
         return abs(c) - target, dc if c > 0.0 else -dc
 
-    lo, f_lo, df_lo = x_j, -target, 0.0
-    while True:
-        xr = _forward_probe(x_j, lo, f_lo, df_lo, rho.scale)
-        fv, dfv = f_df(xr)
-        if fv >= 0.0:
-            break
-        if (xr - x_j) / rho.scale > 1e15:
-            raise UnreachablePotentialError(
-                f"target {target:g} V not reached by two-sided solve",
-                supremum=fv + target)
-        lo, f_lo, df_lo = xr, fv, dfv
-
-    x_right = _newton_in_bracket(f_df, lo, xr, _newton_point(lo, f_lo, df_lo))
+    x_right = _solve_outward(f_df, lambda: abs(moment(end) - moment(left_for(end, charge(end)))),
+                             x_j, 0.0, rho.scale, end, target)
     q_right = charge(x_right)
-    if (charge_at_surface - q_right) * q_right < 0.0:
+    if (charge(0.0) - q_right) * q_right < 0.0:
         raise SurfaceReachedError(
             f"SCR reaches the surface: right boundary {x_right:g} m needs more "
             f"compensating charge than exists above x_j")
@@ -354,24 +341,24 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
 
 def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
                                 x_right: float, n_samples: int = 101) -> list:
-    """Sample (x, E, u) on the solved SCR.
+    """Sample (x, E, u) on the solved SCR, a finite interval within the stack.
 
     E(x) is the running integral of rho/eps from x_left; u(x) is
-    -integral of E with u(x_left) = 0, evaluated as a single quadrature of
-    the moment centred on x, (t - x)*rho(t)/eps(t), per sample point.
+    -integral of E with u(x_left) = 0, evaluated as M(x) - (x - x_left)*E(x)
+    with M the running moment centred on x_left, (t - x_left)*rho/eps.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    if not -math.inf < x_left <= x_right < math.inf:
-        raise ValueError(f"need finite x_left <= x_right, got [{x_left}, {x_right}]")
-    eps_of_x, breaks, _ = _domain(rho, eps)
+    eps_of_x, breaks, _ = _domain(rho, eps, x_left, x_right)
+    if not x_right < math.inf:
+        raise ValueError(f"x_right must be finite, got {x_right}")
     field = _running_integral(lambda t: rho.fn(t) / eps_of_x(t), x_left, breaks)
+    moment = _running_integral(_moment_integrand(rho, eps_of_x, x_left), x_left, breaks)
     out = []
     for i in range(n_samples):
         x = x_left + (x_right - x_left) * i / (n_samples - 1)
-        u = (_segmented_quad(_moment_integrand(rho, eps_of_x, x), x_left, x, breaks)
-             if x != x_left else 0.0)
-        out.append((x, field(x), u))
+        e = field(x)
+        out.append((x, e, moment(x) - (x - x_left) * e))
     return out
 
 

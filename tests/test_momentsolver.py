@@ -189,6 +189,26 @@ class TestReconstruct:
         drop = abs(samples[-1][2] - samples[0][2])
         assert_allclose(drop, target, rtol=1e-8)
 
+    @pytest.mark.parametrize("target", [WORKED.v_bi + 10.0, 1e-3, 1e-9])
+    def test_potential_matches_antiderivatives(self, target):
+        # u(x) = q/eps*[(G(x) - G(x_left)) - x*(F(x) - F(x_left))], F the
+        # charge and G the first moment; at 1e-9 V the SCR is nm wide and
+        # the net charge nearly cancels across it
+        rho = ChargeProfile.net(WORKED_PROFILE)
+        sol = solve_two_sided(rho, SI.eps, WORKED.x_j, target)
+        samples = reconstruct_field_potential(rho, SI.eps, sol.x_left, sol.x_right, 201)
+        with mpmath.workdps(40):
+            xl = mpmath.mpf(sol.x_left)
+
+            def u_ref(x):
+                x = mpmath.mpf(x)
+                g = first_moment(WORKED_PROFILE, x) - first_moment(WORKED_PROFILE, xl)
+                f = charge(WORKED_PROFILE, x) - charge(WORKED_PROFILE, xl)
+                return float((g - x * f) * mpmath.mpf(Q) / mpmath.mpf(SI.eps))
+            ref = [u_ref(x) for x, _, _ in samples]
+        err = max(abs(s[2] - r) for s, r in zip(samples, ref))
+        assert err <= 1e-12 * max(abs(r) for r in ref)
+
 
 class TestSolveHetero:
     def test_single_layer_reduces_to_homogeneous(self):
@@ -248,23 +268,29 @@ def test_oracle_agreement_on_bias_grid():
         assert_allclose(sol.x_right - sol.x_left, r.w_sc, rtol=1e-6)
 
 
+def charge(profile, x):
+    """Integral of rho/q of the net Gaussian from 0 to x, at mpmath's
+    working precision."""
+    n0, n_b, l_d = (mpmath.mpf(v) for v in (profile.n0, profile.n_b, profile.l_d))
+    return n0 * l_d * mpmath.sqrt(mpmath.pi) / 2 * mpmath.erf(x / l_d) - n_b * x
+
+
+def first_moment(profile, x):
+    """Integral of x*rho/q of the net Gaussian from 0 to x, less a
+    constant, at mpmath's working precision."""
+    n0, n_b, l_d = (mpmath.mpf(v) for v in (profile.n0, profile.n_b, profile.l_d))
+    return -n0 * l_d ** 2 / 2 * mpmath.exp(-(x / l_d) ** 2) - n_b * x ** 2 / 2
+
+
 def net_reference(profile, x_j, x_left, x_right):
     """Neutrality |net charge| / |charge on [x_left, x_j]| and the centred
     moment |integral of (x - x_j)*rho/eps| of the net Gaussian over
     [x_left, x_right], to 40 digits from its antiderivatives."""
     with mpmath.workdps(40):
-        n0, n_b, l_d = (mpmath.mpf(v) for v in (profile.n0, profile.n_b, profile.l_d))
         xl, xj, xr = (mpmath.mpf(v) for v in (x_left, x_j, x_right))
-
-        def charge(x):  # integral of rho/q from 0
-            return n0 * l_d * mpmath.sqrt(mpmath.pi) / 2 * mpmath.erf(x / l_d) - n_b * x
-
-        def first_moment(x):  # integral of x*rho/q from 0, less a constant
-            return -n0 * l_d ** 2 / 2 * mpmath.exp(-(x / l_d) ** 2) - n_b * x ** 2 / 2
-
-        net = charge(xr) - charge(xl)
-        neutrality = abs(net) / abs(charge(xj) - charge(xl))
-        centred = ((first_moment(xr) - first_moment(xl) - xj * net)
+        net = charge(profile, xr) - charge(profile, xl)
+        neutrality = abs(net) / abs(charge(profile, xj) - charge(profile, xl))
+        centred = ((first_moment(profile, xr) - first_moment(profile, xl) - xj * net)
                    * mpmath.mpf(Q) / mpmath.mpf(SI.eps))
         return float(neutrality), float(abs(centred))
 
@@ -311,19 +337,36 @@ class TestNewtonSolves:
         assert_allclose(sol.moment_value, target, rtol=1e-10)
 
 
-def test_two_sided_unreachable_target():
-    # +qN on [0, x_j), -qN on [x_j, 2 x_j), 0 beyond: a neutral region
-    # holds at most q*N*x_j^2/eps, however far x_right moves
-    n, x_j = 1e21, 5e-6
+_BOUNDED_N, _BOUNDED_XJ = 1e21, 5e-6
 
-    def fn(x):
-        if 0.0 <= x < x_j:
-            return Q * n
-        return -Q * n if x < 2.0 * x_j else 0.0
-    rho = ChargeProfile(fn=fn, steps=(x_j, 2.0 * x_j), scale=1e-6)
-    with pytest.raises(UnreachablePotentialError) as exc:
-        solve_two_sided(rho, SI.eps, x_j, 1e6)
-    assert_allclose(exc.value.supremum, Q * n * x_j ** 2 / SI.eps, rtol=1e-10)
+
+def _bounded_fn(x):
+    if 0.0 <= x < _BOUNDED_XJ:
+        return Q * _BOUNDED_N
+    return -Q * _BOUNDED_N if x < 2.0 * _BOUNDED_XJ else 0.0
+
+
+# +qN on [0, x_j), -qN on [x_j, 2 x_j), 0 beyond: a neutral region holds
+# at most q*N*x_j^2/eps, however far x_right moves
+_BOUNDED = ChargeProfile(fn=_bounded_fn, steps=(_BOUNDED_XJ, 2.0 * _BOUNDED_XJ), scale=1e-6)
+_THIN_STACK = HeteroStack(layers=((SI, 1e-4),))
+
+
+def test_two_sided_unreachable_target():
+    # the supremum is the neutral region whose right edge is the domain's
+    # end, the 0.1 mm stack end too: all the charge lies inside it
+    for eps in (SI.eps, _THIN_STACK):
+        with pytest.raises(UnreachablePotentialError) as exc:
+            solve_two_sided(_BOUNDED, eps, _BOUNDED_XJ, 1e6)
+        assert_allclose(exc.value.supremum, Q * _BOUNDED_N * _BOUNDED_XJ ** 2 / SI.eps,
+                        rtol=1e-14)
+
+
+def test_two_sided_stack_exhausted():
+    with pytest.raises(StackExhaustedError) as exc:
+        solve_two_sided(ChargeProfile.net(WORKED_PROFILE), _THIN_STACK, WORKED.x_j, 1e4)
+    assert str(exc.value) == ("SCR would extend past the stack end at 0.0001 m "
+                              "(moment reaches only 4867.23 of 10000 V)")
 
 
 _STACK = HeteroStack(layers=((SI, 1e-6), (SI, 1e-3)))
@@ -353,19 +396,27 @@ _NET = ChargeProfile.net(WORKED_PROFILE)
     lambda: reconstruct_field_potential(_NET, SI.eps, math.nan, 2e-5, 5),
     lambda: reconstruct_field_potential(_NET, SI.eps, 2e-5, math.nan, 5),
     lambda: reconstruct_field_potential(_NET, SI.eps, 2e-5, math.inf, 5),
+    lambda: moment_integral(_PAPER, _THIN_STACK, WORKED.x_j, 1e-3),
+    lambda: reconstruct_field_potential(_NET, _THIN_STACK, 0.0, 2e-4, 5),
 ], ids=["one-sided-nan-target", "one-sided-inf-target", "one-sided-nan-start",
         "one-sided-inf-start", "one-sided-negative-start", "stack-negative-start",
         "stack-start-past-end", "hetero-negative-start", "two-sided-nan-target",
         "two-sided-inf-target", "two-sided-nan-xj", "two-sided-zero-xj",
         "moment-nan-b", "moment-nan-a", "moment-infinite-a", "moment-inf-inf",
         "reconstruct-reversed", "reconstruct-nan-left", "reconstruct-nan-right",
-        "reconstruct-inf-right"])
-def test_entry_points_reject_bad_input(call):
-    # a plain ValueError, before any solve: no JunctionError subclass
-    # raised from a probe, and no hang
+        "reconstruct-inf-right", "moment-past-stack-end", "reconstruct-past-stack-end"])
+def test_entry_points_reject_bad_input(call, monkeypatch):
+    # a plain ValueError, before any quadrature: no JunctionError subclass
+    # raised from a probe or a quadrature node, and no hang
+    from junctionlab import momentsolver
+    calls = []
+    real_quad = momentsolver.quad
+    monkeypatch.setattr(momentsolver, "quad",
+                        lambda *args, **kwargs: calls.append(1) or real_quad(*args, **kwargs))
     with pytest.raises(ValueError) as exc:
         call()
     assert type(exc.value) is ValueError
+    assert not calls
 
 
 def test_quadrature_count(monkeypatch):
@@ -405,6 +456,11 @@ def test_quadrature_count(monkeypatch):
     calls = 0
     moment_integral(ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, math.inf)
     assert calls <= 6
+    # the two-sided supremum is one neutral region out to the domain's end
+    calls = 0
+    with pytest.raises(UnreachablePotentialError):
+        solve_two_sided(_BOUNDED, SI.eps, _BOUNDED_XJ, 1e6)
+    assert calls <= 30
 
 
 def test_newton_helper_keeps_to_its_bracket():
