@@ -4,9 +4,9 @@ Closed forms for the general, shallow, and deep-diffused regimes, an
 independent numerical solver built on Gauss's law that verifies them,
 and C-V sweep / parameter-extraction tooling.
 
-The numerical solver's names are loaded on first access (PEP 562), so
-``import junctionlab`` and the closed-form, sweep and serialization
-paths load neither scipy nor numpy.
+scipy is imported only inside the two calls that use it: the numerical
+solver's quadrature and the fit. So ``import junctionlab`` and the
+closed-form, sweep and serialization paths load neither scipy nor numpy.
 """
 
 from .closedform import (Bias, JunctionSpec, Regime, SolveResult,
@@ -17,22 +17,10 @@ from .cvtools import CvCurve, FitResult, deserialize, fit, serialize, sweep
 from .doping import (DiffusionRecipe, GaussianProfile, Polarity,
                      charge_density, diffusion_length, doping_at,
                      junction_depth)
+from .momentsolver import (ChargeProfile, HeteroStack, ScrSolution,
+                           moment_integral, reconstruct_field_potential,
+                           solve_hetero, solve_one_sided, solve_two_sided)
 from .physcore import (EPS0, K_B, Material, Q, builtin_materials,
                        get_material, thermal_voltage)
 
 __version__ = "0.1.0"
-
-# momentsolver imports scipy.integrate; only these names pull it in
-_MOMENTSOLVER_NAMES = frozenset({
-    "ChargeProfile", "HeteroStack", "ScrSolution", "moment_integral",
-    "reconstruct_field_potential", "solve_hetero", "solve_one_sided",
-    "solve_two_sided"})
-
-
-def __getattr__(name):
-    if name not in _MOMENTSOLVER_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import momentsolver
-    value = getattr(momentsolver, name)
-    globals()[name] = value  # later lookups skip this hook
-    return value

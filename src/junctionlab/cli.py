@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from . import closedform, cvtools
+from . import closedform, cvtools, momentsolver
 from .closedform import Bias, JunctionSpec
 from .doping import DiffusionRecipe, GaussianProfile, diffusion_length
 from .errors import (CurveFormatError, InsufficientDataError, JunctionError,
@@ -209,8 +209,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from . import momentsolver  # scipy.integrate, which only the oracle needs
-
     spec = _build_spec(args)
     result = closedform.solve(spec, Bias.from_signed(args.bias), args.regime)
     v_total = result.total_potential

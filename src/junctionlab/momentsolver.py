@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
-
 from .doping import GaussianProfile, charge_density, junction_depth
 from .errors import (StackExhaustedError, SurfaceReachedError,
                      UnreachablePotentialError)
@@ -94,13 +92,15 @@ def _domain(rho: ChargeProfile, eps, lo: float,
             hi: float) -> tuple[Callable[[float], float], tuple, float]:
     """(eps_of_x, breaks, end) for a constant or HeteroStack permittivity:
     the stack's interior interfaces plus rho's steps, and the stack end
-    (inf for a constant). Raises ValueError unless lo is finite and
-    lo <= hi <= end."""
+    (inf for a constant). Raises ValueError unless a constant is finite
+    and positive, lo is finite and lo <= hi <= end."""
     if isinstance(eps, HeteroStack):
         *interfaces, end = itertools.accumulate(t for _, t in eps.layers)
         eps_of_x, breaks = eps.eps_at, (*interfaces, *rho.steps)
     else:
         value = float(eps)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {value}")
         eps_of_x, breaks, end = (lambda x: value), rho.steps, math.inf
     if not (-math.inf < lo < math.inf and lo <= hi <= end):
         raise ValueError(f"need a finite start and start <= stop <= {end:g} m, "
@@ -129,6 +129,8 @@ def _running_integral(fn: Callable[[float], float], origin: float,
     out, and asking again for a remembered x costs no quadrature. Each
     increment is split at the breaks inside it, summed left to right.
     """
+    from scipy.integrate import quad
+
     xs, values = [origin], [0.0]
 
     def value(x):

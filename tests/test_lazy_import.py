@@ -1,9 +1,10 @@
 """scipy loads only on the paths that call it.
 
 The closed form and its C-V kernel `cv_points`, `sweep`, serialization
-and the CLI's `solve`, `sweep` and `materials` need no scipy (nor numpy);
-`momentsolver`, which imports `scipy.integrate`, is loaded on first use of
-one of its names.
+and the CLI's `solve`, `sweep` and `materials` need no scipy (nor numpy).
+`momentsolver` is an ordinary import of the package: it imports
+`scipy.integrate.quad` inside the function that integrates, so importing
+it and building its inputs loads neither.
 """
 
 import json
@@ -42,6 +43,16 @@ assert cli.main(["sweep", *WORKED, "--vstart", "0", "--vstop", "20", "--steps", 
 assert cli.main(["materials"]) == 0
 """
 
+SOLVER_INPUTS = """
+import junctionlab as jl
+from junctionlab import momentsolver
+profile = jl.GaussianProfile(n0=1e24, l_d=1e-5, n_b=1e21)
+for build in (momentsolver.ChargeProfile.paper, momentsolver.ChargeProfile.net,
+              momentsolver.ChargeProfile.net_magnitude):
+    build(profile)
+momentsolver.HeteroStack(layers=((jl.get_material("Si"), 1e-3),))
+"""
+
 ORACLE = CLOSED_FORM + """
 assert cli.main(["oracle", *WORKED, "--bias", "10"]) == 0
 """
@@ -65,6 +76,10 @@ def test_closed_form_paths_load_no_scipy_or_numpy(tmp_path):
     assert _heavy_modules(CLOSED_FORM, tmp_path) == []
 
 
+def test_momentsolver_import_loads_no_scipy_or_numpy(tmp_path):
+    assert _heavy_modules(SOLVER_INPUTS, tmp_path) == []
+
+
 def test_oracle_loads_scipy(tmp_path):
     # the control: the probe above does see an import of scipy
     assert "scipy" in _heavy_modules(ORACLE, tmp_path)
@@ -82,11 +97,9 @@ def _from_import(name):
 
 
 @pytest.mark.parametrize("name", LAZY_NAMES)
-def test_lazy_name_is_the_momentsolver_object(name, monkeypatch):
+def test_lazy_name_is_the_momentsolver_object(name):
     expected = getattr(momentsolver, name)
     for resolve in (lambda: getattr(junctionlab, name), lambda: _from_import(name)):
-        # drop the cached name so that the module __getattr__ resolves it
-        monkeypatch.delitem(vars(junctionlab), name, raising=False)
         assert resolve() is expected
 
 

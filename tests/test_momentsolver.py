@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from numpy.testing import assert_allclose
 
 from junctionlab import (Bias, ChargeProfile, GaussianProfile, HeteroStack,
@@ -398,20 +399,25 @@ _NET = ChargeProfile.net(WORKED_PROFILE)
     lambda: reconstruct_field_potential(_NET, SI.eps, 2e-5, math.inf, 5),
     lambda: moment_integral(_PAPER, _THIN_STACK, WORKED.x_j, 1e-3),
     lambda: reconstruct_field_potential(_NET, _THIN_STACK, 0.0, 2e-4, 5),
+    lambda: solve_one_sided(_PAPER, 0.0, WORKED.x_j, 1.0),
+    lambda: solve_two_sided(_NET, -SI.eps, WORKED.x_j, 1.0),
+    lambda: moment_integral(_PAPER, math.nan, WORKED.x_j, 4e-5),
+    lambda: reconstruct_field_potential(_NET, math.inf, 2e-5, 3e-5, 5),
 ], ids=["one-sided-nan-target", "one-sided-inf-target", "one-sided-nan-start",
         "one-sided-inf-start", "one-sided-negative-start", "stack-negative-start",
         "stack-start-past-end", "hetero-negative-start", "two-sided-nan-target",
         "two-sided-inf-target", "two-sided-nan-xj", "two-sided-zero-xj",
         "moment-nan-b", "moment-nan-a", "moment-infinite-a", "moment-inf-inf",
         "reconstruct-reversed", "reconstruct-nan-left", "reconstruct-nan-right",
-        "reconstruct-inf-right", "moment-past-stack-end", "reconstruct-past-stack-end"])
+        "reconstruct-inf-right", "moment-past-stack-end", "reconstruct-past-stack-end",
+        "one-sided-zero-eps", "two-sided-negative-eps", "moment-nan-eps",
+        "reconstruct-inf-eps"])
 def test_entry_points_reject_bad_input(call, monkeypatch):
     # a plain ValueError, before any quadrature: no JunctionError subclass
     # raised from a probe or a quadrature node, and no hang
-    from junctionlab import momentsolver
     calls = []
-    real_quad = momentsolver.quad
-    monkeypatch.setattr(momentsolver, "quad",
+    real_quad = scipy.integrate.quad
+    monkeypatch.setattr(scipy.integrate, "quad",
                         lambda *args, **kwargs: calls.append(1) or real_quad(*args, **kwargs))
     with pytest.raises(ValueError) as exc:
         call()
@@ -421,16 +427,15 @@ def test_entry_points_reject_bad_input(call, monkeypatch):
 
 def test_quadrature_count(monkeypatch):
     # machine-independent cost: quadratures per solve on the worked junction
-    from junctionlab import momentsolver
     calls = 0
-    real_quad = momentsolver.quad
+    real_quad = scipy.integrate.quad
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return real_quad(*args, **kwargs)
 
-    monkeypatch.setattr(momentsolver, "quad", counted)
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
     target = WORKED.v_bi + 10.0
     solve_one_sided(ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, target)
     assert calls <= 8
