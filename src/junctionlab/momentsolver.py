@@ -13,8 +13,10 @@ only reflects the choice of potential reference.
 """
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,12 +30,18 @@ from .errors import (StackExhaustedError, SurfaceReachedError,
 _QUAD_OPTS = dict(epsabs=1e-30, epsrel=1e-12, limit=200, full_output=1)
 # a root is accepted once a step is within _XTOL + _RTOL*|x|
 _XTOL, _RTOL = 1e-18, 8.9e-16
+# points per Chebyshev fit of rho/eps, tried in turn, and how often a piece
+# that does not chop at the last size is halved before giving up
+_CHEBYSHEV_SIZES = (17, 33, 65, 129)
+_CHEBYSHEV_DEPTH = 8
 
 
 @dataclass(frozen=True)
 class ChargeProfile:
-    """Evaluatable charge density x (m) -> rho (C/m^3) with its step
-    points. ``scale`` is a characteristic length used to seed bracketing
+    """Evaluatable charge density x (m) -> rho (C/m^3). ``steps`` lists
+    every point where rho or its slope jumps; between them rho must be
+    smooth, or reconstruct_field_potential raises ArithmeticError.
+    ``scale`` is a characteristic length used to seed bracketing
     searches."""
 
     fn: Callable[[float], float]
@@ -341,26 +349,143 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
                        moment_value=abs(moment(x_right) - moment(x_left)))
 
 
+@functools.cache
+def _cosines(n: int) -> tuple:
+    """(rows, columns) of cos(pi*k*(j + 1/2)/n) for k, j < n: row k holds T_k
+    at the n Chebyshev points of the first kind, and row 1 the points."""
+    rows = tuple(tuple(math.cos(math.pi * k * (j + 0.5) / n) for j in range(n))
+                 for k in range(n))
+    return rows, tuple(zip(*rows))
+
+
+def _chebyshev_coefficients(rows, values) -> list:
+    """Coefficients c_k of sum c_k*T_k(t) through values at the points of
+    the first kind (a DCT-II over the precomputed cosines)."""
+    c = [2.0 / len(values) * sum(map(operator.mul, row, values)) for row in rows]
+    c[0] *= 0.5
+    return c
+
+
+def _derivative(c) -> list:
+    """Coefficients of d/dt of sum c_k*T_k(t)."""
+    d = [0.0] * (len(c) + 1)
+    for k in range(len(c) - 1, 0, -1):
+        d[k - 1] = d[k + 1] + 2.0 * k * c[k]
+    d[0] *= 0.5
+    return d[:-2]
+
+
+def _antiderivative(c) -> list:
+    """Coefficients of the antiderivative of sum c_k*T_k(t) that vanishes
+    at t = -1."""
+    c = [*c, 0.0, 0.0]
+    out = [0.0, c[0] - 0.5 * c[2]]
+    out += [(c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, len(c) - 1)]
+    out[0] = sum(v if k % 2 else -v for k, v in enumerate(out))
+    return out
+
+
+def _clenshaw(c, t: float) -> float:
+    """sum c_k*T_k(t) by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    t2 = 2.0 * t
+    for ck in c[:0:-1]:
+        b1, b2 = ck + t2 * b1 - b2, b1
+    return c[0] + t * b1 - b2
+
+
+def _chebyshev_fit(f, a: float, b: float):
+    """Chebyshev coefficients of f on [a, b], mapped to t in [-1, 1], or
+    None if the series does not chop.
+
+    f is sampled at 17, 33, 65, ... points of the first kind, all interior.
+    The series is accepted once the top quarter of its coefficients (the
+    tail) lies below 1e-10 of the largest and is at least half the
+    previous size's tail: a plateau of rounding noise (Aurentz & Trefethen,
+    ACM TOMS 43(4), 2017). A kink's tail falls fourfold per doubling and
+    never plateaus. Each node x~ = a + half*(1 + t) is rounded; its value is
+    then carried back to the exact node, f(x~) - f'(x~)*(x~ - x), with f'
+    from the first fit, and the series refitted and cut after its last
+    coefficient above the plateau.
+    """
+    half = 0.5 * (b - a)
+    prev_tail = math.inf
+    for n in _CHEBYSHEV_SIZES:
+        rows, columns = _cosines(n)
+        offsets = [half * (1.0 + t) for t in rows[1]]
+        xs = [a + h for h in offsets]
+        values = [f(x) for x in xs]
+        c = _chebyshev_coefficients(rows, values)
+        scale = max(map(abs, c))
+        if not math.isfinite(scale):
+            raise ArithmeticError(f"non-finite rho/eps on [{a:g}, {b:g}] m")
+        tail = max(map(abs, c[-(n // 4):]))
+        if tail <= 1e-10 * scale and 2.0 * tail >= prev_tail:
+            d = _derivative(c)
+            values = [v - sum(map(operator.mul, d, col)) * ((x - a) - h) / half
+                      for v, col, x, h in zip(values, columns, xs, offsets)]
+            c = _chebyshev_coefficients(rows, values)
+            tail = max(map(abs, c[-(n // 4):]))
+            while len(c) > 1 and abs(c[-1]) <= tail:
+                c.pop()
+            return c
+        prev_tail = tail
+    return None
+
+
+def _chebyshev_pieces(f, a: float, b: float, depth: int = 0) -> list:
+    """[(a, b, coefficients), ...] covering [a, b] left to right: one
+    series if f chops there, else those of the two halves, down to
+    _CHEBYSHEV_DEPTH halvings; then ArithmeticError names the piece."""
+    c = _chebyshev_fit(f, a, b)
+    if c is not None:
+        return [(a, b, c)]
+    if depth == _CHEBYSHEV_DEPTH:
+        raise ArithmeticError(
+            f"rho/eps does not resolve on [{a!r}, {b!r}] m: declare every point "
+            f"where rho or its slope jumps in ChargeProfile.steps")
+    mid = a + 0.5 * (b - a)
+    return _chebyshev_pieces(f, a, mid, depth + 1) + _chebyshev_pieces(f, mid, b, depth + 1)
+
+
 def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
                                 x_right: float, n_samples: int = 101) -> list:
-    """Sample (x, E, u) on the solved SCR, a finite interval within the stack.
+    """Sample (x, E, u) at n_samples evenly spaced x on the solved SCR, a
+    finite interval within the stack.
 
-    E(x) is the running integral of rho/eps from x_left; u(x) is
-    -integral of E with u(x_left) = 0, evaluated as M(x) - (x - x_left)*E(x)
-    with M the running moment centred on x_left, (t - x_left)*rho/eps.
+    E(x) is the integral of rho/eps from x_left and u(x) = -integral of E,
+    with u(x_left) = 0. Between the declared breaks (rho.steps and the
+    stack's interfaces) rho/eps must be smooth: each such piece gets one
+    Chebyshev series, integrated twice by the coefficient recurrence
+    (chebfun's cumsum), and E and u carry across breaks as running sums.
+    A piece whose series does not chop is halved up to 8 times, then
+    ArithmeticError names it: an undeclared kink or step.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     eps_of_x, breaks, _ = _domain(rho, eps, x_left, x_right)
     if not x_right < math.inf:
         raise ValueError(f"x_right must be finite, got {x_right}")
-    field = _running_integral(lambda t: rho.fn(t) / eps_of_x(t), x_left, breaks)
-    moment = _running_integral(_moment_integrand(rho, eps_of_x, x_left), x_left, breaks)
+    if x_left == x_right:
+        return [(x_left, 0.0, 0.0)] * n_samples
+    ends = [x_left, *sorted({p for p in breaks if x_left < p < x_right}), x_right]
+    pieces = []  # (a, b, E(a), u(a), E series, u series)
+    e_a = u_a = 0.0
+    for lo, hi in zip(ends, ends[1:]):
+        for a, b, c in _chebyshev_pieces(lambda x: rho.fn(x) / eps_of_x(x), lo, hi):
+            half = 0.5 * (b - a)
+            field = [half * v for v in _antiderivative(c)]
+            potential = [-half * v for v in _antiderivative(field)]
+            pieces.append((a, b, e_a, u_a, field, potential))
+            e_a, u_a = e_a + sum(field), u_a - e_a * (b - a) + sum(potential)
+    rights = [p[1] for p in pieces]
     out = []
     for i in range(n_samples):
         x = x_left + (x_right - x_left) * i / (n_samples - 1)
-        e = field(x)
-        out.append((x, e, moment(x) - (x - x_left) * e))
+        a, b, e0, u0, field, potential = pieces[min(bisect.bisect_left(rights, x),
+                                                    len(pieces) - 1)]
+        t = ((x - a) - (b - x)) / (b - a)
+        out.append((x, e0 + _clenshaw(field, t), u0 - e0 * (x - a) + _clenshaw(potential, t)))
     return out
 
 

@@ -4,7 +4,9 @@ The closed form and its C-V kernel `cv_points`, `sweep`, serialization
 and the CLI's `solve`, `sweep` and `materials` need no scipy (nor numpy).
 `momentsolver` is an ordinary import of the package: it imports
 `scipy.integrate.quad` inside the function that integrates, so importing
-it and building its inputs loads neither.
+it and building its inputs loads neither. The field reconstruction
+integrates Chebyshev series in pure `math`, so a reconstruction with no
+solve before it loads neither as well.
 """
 
 import json
@@ -53,6 +55,17 @@ for build in (momentsolver.ChargeProfile.paper, momentsolver.ChargeProfile.net,
 momentsolver.HeteroStack(layers=((jl.get_material("Si"), 1e-3),))
 """
 
+# the two-sided SCR of the worked junction at V_bi + 10 V, hard-coded so
+# that no solve runs
+RECONSTRUCTION = """
+import junctionlab as jl
+from junctionlab import momentsolver
+profile = jl.GaussianProfile(n0=1e24, l_d=1e-5, n_b=1e21)
+momentsolver.reconstruct_field_potential(momentsolver.ChargeProfile.net(profile),
+                                         jl.get_material("Si").eps,
+                                         2.4068829208113994e-05, 2.972455866256642e-05, 201)
+"""
+
 ORACLE = CLOSED_FORM + """
 assert cli.main(["oracle", *WORKED, "--bias", "10"]) == 0
 """
@@ -78,6 +91,10 @@ def test_closed_form_paths_load_no_scipy_or_numpy(tmp_path):
 
 def test_momentsolver_import_loads_no_scipy_or_numpy(tmp_path):
     assert _heavy_modules(SOLVER_INPUTS, tmp_path) == []
+
+
+def test_reconstruction_loads_no_scipy_or_numpy(tmp_path):
+    assert _heavy_modules(RECONSTRUCTION, tmp_path) == []
 
 
 def test_oracle_loads_scipy(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import re
+import time
 
 import mpmath
 import numpy as np
@@ -161,6 +163,9 @@ class TestSolveTwoSided:
             solve_two_sided(rho, SI.eps, junction_depth(p), 50.0)
 
 
+ANALYTIC_TARGETS = [WORKED.v_bi + 10.0, 1e-3, 1e-9]
+
+
 class TestReconstruct:
     def test_constant_charge_affine_field(self):
         n = 1e21
@@ -190,7 +195,7 @@ class TestReconstruct:
         drop = abs(samples[-1][2] - samples[0][2])
         assert_allclose(drop, target, rtol=1e-8)
 
-    @pytest.mark.parametrize("target", [WORKED.v_bi + 10.0, 1e-3, 1e-9])
+    @pytest.mark.parametrize("target", ANALYTIC_TARGETS)
     def test_potential_matches_antiderivatives(self, target):
         # u(x) = q/eps*[(G(x) - G(x_left)) - x*(F(x) - F(x_left))], F the
         # charge and G the first moment; at 1e-9 V the SCR is nm wide and
@@ -209,6 +214,61 @@ class TestReconstruct:
             ref = [u_ref(x) for x, _, _ in samples]
         err = max(abs(s[2] - r) for s, r in zip(samples, ref))
         assert err <= 1e-12 * max(abs(r) for r in ref)
+
+    @pytest.mark.parametrize("target", ANALYTIC_TARGETS)
+    def test_rho_evaluations(self, target):
+        # the smooth net charge is one Chebyshev piece: 115 evaluations at
+        # V_bi + 10 V (17 + 33 + 65 points), 50 at the small targets
+        net = ChargeProfile.net(WORKED_PROFILE)
+        sol = solve_two_sided(net, SI.eps, WORKED.x_j, target)
+        calls = []
+        rho = ChargeProfile(fn=lambda x: calls.append(x) or net.fn(x), scale=net.scale)
+        reconstruct_field_potential(rho, SI.eps, sol.x_left, sol.x_right, 201)
+        assert len(calls) <= 256
+
+    def test_step_across_permittivity_interface(self):
+        # no node may sit on the interface, where eps_at returns the left
+        # layer's eps; E and u are piecewise polynomials there
+        rho_val, b1 = Q * 1e22, 0.5e-6
+        low_k = Material("low-k", 4.0, SI.n_i, 300.0)
+        stack = HeteroStack(layers=((SI, b1), (low_k, 1e-3)))
+        samples = reconstruct_field_potential(ChargeProfile.step(rho_val), stack,
+                                              0.0, 1.2e-6, 201)
+
+        def analytic(x):
+            if x <= b1:
+                return rho_val * x / SI.eps, -rho_val * x * x / (2.0 * SI.eps)
+            e1, d = rho_val * b1 / SI.eps, x - b1
+            return (e1 + rho_val * d / low_k.eps,
+                    -rho_val * b1 * b1 / (2.0 * SI.eps) - e1 * d - rho_val * d * d / (2.0 * low_k.eps))
+        want = [analytic(x) for x, _, _ in samples]
+        for col in (1, 2):
+            err = max(abs(s[col] - w[col - 1]) for s, w in zip(samples, want))
+            assert err <= 1e-13 * max(abs(w[col - 1]) for w in want), col
+
+    def test_undeclared_kink_raises(self):
+        # |x - c| has Chebyshev coefficients falling like 1/k^2, never a
+        # plateau; halving narrows it down, then names the piece
+        c = 0.3e-6
+        rho = ChargeProfile(fn=lambda x: Q * 1e28 * abs(x - c))
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="ChargeProfile.steps") as exc:
+            reconstruct_field_potential(rho, SI.eps, 0.0, 1e-6, 201)
+        assert time.perf_counter() - start < 1.0
+        a, b = map(float, re.search(r"\[(\S+), (\S+)\] m", str(exc.value)).groups())
+        assert a < c < b
+
+    def test_declared_kink_matches_analytic_field(self):
+        # E = k/eps*(h(x - c) - h(-c)) with h(y) = y*|y|/2, an antiderivative of |y|
+        c, k = 0.3e-6, Q * 1e28
+        rho = ChargeProfile(fn=lambda x: k * abs(x - c), steps=(c,))
+        samples = reconstruct_field_potential(rho, SI.eps, 0.0, 1e-6, 201)
+
+        def h(y):
+            return 0.5 * y * abs(y)
+        want = [k / SI.eps * (h(x - c) - h(-c)) for x, _, _ in samples]
+        err = max(abs(s[1] - w) for s, w in zip(samples, want))
+        assert err <= 1e-13 * max(map(abs, want))
 
 
 class TestSolveHetero:
@@ -443,9 +503,10 @@ def test_quadrature_count(monkeypatch):
     sol = solve_two_sided(ChargeProfile.net(WORKED_PROFILE), SI.eps, WORKED.x_j, target)
     assert calls <= 160
     calls = 0
+    # the reconstruction integrates Chebyshev series, never by quadrature
     reconstruct_field_potential(ChargeProfile.net(WORKED_PROFILE), SI.eps,
                                 sol.x_left, sol.x_right, 201)
-    assert calls <= 400
+    assert calls == 0
     # past the supremum the running moment is carried to infinity by one
     # more quadrature, not integrated again from x_start
     calls = 0
