@@ -68,7 +68,7 @@ def _load_material_file(path: str) -> list[Material]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read material file {path}: {e}", EXIT_DATA)
     if not lines or lines[0] != "name,eps_r,n_i_cm3,temp_K":
         raise CliError(f"{path}:1: bad header; expected 'name,eps_r,n_i_cm3,temp_K'",

@@ -230,19 +230,19 @@ def cv_points(spec: JunctionSpec, signed_biases, regime: str | Regime = "general
     for v in signed_biases:
         # V_bi + V_R, or V_bi - V_F with V_F = -v: the same rounding
         u = (v_bi + v) / scale
-        if -v_bi < v < inf and exp_term - u > 0.0:
-            w, c_b = _width_and_capacitance(l_d, eps, s_j, exp_term, u, general)
-        else:  # NaN, +-inf, at or past flat band or past punch-through
-            w, c_b = _solve_point(spec, v, regime)
+        if not (-v_bi < v < inf and exp_term - u > 0.0):
+            # NaN, +-inf, at or past flat band or past punch-through
+            _raise_point_error(spec, v, regime)
+        w, c_b = _width_and_capacitance(l_d, eps, s_j, exp_term, u, general)
         pts.append((v, c_b, w))
     return pts
 
 
-def _solve_point(spec: JunctionSpec, v: float, regime: Regime) -> tuple[float, float]:
-    """(W, C_b) by the scalar solve, which raises the point's error."""
+def _raise_point_error(spec: JunctionSpec, v: float, regime: Regime):
+    """Raise the scalar solve's error at a bias the kernel's test rejects;
+    the solve makes the same comparisons on the same floats, so it raises."""
     try:
-        r = solve(spec, Bias.from_signed(v), regime)
+        solve(spec, Bias.from_signed(v), regime)
     except PunchThroughError as e:  # EquilibriumInvalidError too
         raise type(e)(f"bias {v:g} V outside validity window: {e}",
                       v_max_reverse=e.v_max_reverse) from e
-    return r.w_sc, r.c_b

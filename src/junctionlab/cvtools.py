@@ -4,10 +4,9 @@ Bias values on curves are signed volts: positive = reverse, negative =
 forward, matching the single-substitution rule of the closed forms.
 """
 
-import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .closedform import (JunctionSpec, Regime, cv_points, default_vbi,
                          validity_window)
@@ -57,16 +56,9 @@ def sweep(spec: JunctionSpec, v_start: float, v_stop: float, n_points: int,
 
 
 def _spec_to_dict(spec: JunctionSpec) -> dict:
-    m, p = spec.material, spec.profile
-    return {
-        "material": {"name": m.name, "eps_r": m.eps_r, "n_i": m.n_i,
-                     "temp_ref": m.temp_ref},
-        "profile": {"n0": p.n0, "l_d": p.l_d, "n_b": p.n_b,
-                    "polarity": p.polarity.value},
-        "temp": spec.temp,
-        "x_j": spec.x_j,
-        "v_bi": spec.v_bi,
-    }
+    d = asdict(spec)
+    d["profile"]["polarity"] = spec.profile.polarity.value
+    return d
 
 
 def _spec_from_dict(d: dict) -> JunctionSpec:
@@ -97,46 +89,49 @@ def serialize(curve: CvCurve, fmt: str = "csv") -> bytes:
 
 
 def deserialize(data: bytes, fmt: str = "csv") -> CvCurve:
-    """Parse a curve; validates monotone bias and positive capacitance.
-    The CSV w_sc column may be absent or empty (measured data)."""
+    """Parse a curve from UTF-8 bytes; any fault in the data raises
+    CurveFormatError. JSON: "points" lists {"v_bias", "c_b", "w_sc"} (w_sc
+    optional or null), "spec" is a junction or null, and every value is a
+    number, not a bool; a non-numeric value anywhere is reported before a
+    number too large for a float. CSV: header CSV_HEADER, or MEASURED_HEADER
+    without the w_sc column; an empty w_sc cell is None, blank rows are
+    skipped, and each error names its line. CvCurve then checks that the
+    bias is finite and strictly increasing, C_b finite and positive, and W
+    finite."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CurveFormatError(f"not UTF-8: {e}") from e
     if fmt == "json":
         try:
-            obj = json.loads(data.decode("utf-8"))
-        except ValueError as e:  # also bad UTF-8 and over-long integers
+            obj = json.loads(text)
+        except ValueError as e:  # also over-long integers
             raise CurveFormatError(f"invalid JSON: {e}") from e
         try:
             pts = tuple((p["v_bias"], p["c_b"], p.get("w_sc")) for p in obj["points"])
             spec = None if obj.get("spec") is None else _spec_from_dict(obj["spec"])
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise CurveFormatError(f"malformed JSON curve: {type(e).__name__}: {e}") from e
-        numbers, too_large = [], None
         for point in pts:
-            v, c, w = point
-            # json.loads gives floats as float; check and convert anything else
-            if type(v) is not float or type(c) is not float or (w is not None
-                                                                 and type(w) is not float):
-                for value in (v, c) if w is None else point:
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        raise CurveFormatError(f"non-numeric value {value!r} in JSON curve")
-                try:
-                    point = (float(v), float(c), w if w is None else float(w))
-                except OverflowError as e:  # reported once no point is non-numeric
-                    too_large = too_large or e
-            numbers.append(point)
-        if too_large is not None:
-            raise CurveFormatError("number too large for a float in JSON curve") from too_large
-        return CvCurve(points=tuple(numbers), spec_echo=spec)
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+            for value in point if point[2] is not None else point[:2]:
+                if type(value) not in (float, int):  # so not a bool
+                    raise CurveFormatError(f"non-numeric value {value!r} in JSON curve")
+        try:
+            pts = tuple((float(v), float(c), w if w is None else float(w)) for v, c, w in pts)
+        except OverflowError as e:
+            raise CurveFormatError("number too large for a float in JSON curve") from e
+        return CvCurve(points=pts, spec_echo=spec)
 
-    text = io.StringIO(data.decode("utf-8"))
-    header = text.readline().rstrip("\n").rstrip("\r")
+    header, *rows = text.split("\n")
+    header = header.rstrip("\r")
     if header not in (CSV_HEADER, MEASURED_HEADER):
         raise CurveFormatError(f"bad header {header!r}; expected {CSV_HEADER!r}", line=1)
     has_w = header == CSV_HEADER
     pts = []
-    for lineno, raw in enumerate(text, start=2):
-        row = raw.rstrip("\n").rstrip("\r")
+    for lineno, row in enumerate(rows, start=2):
+        row = row.rstrip("\r")
         if not row:
             continue
         cols = row.split(",")

@@ -31,7 +31,8 @@ _QUAD_OPTS = dict(epsabs=1e-30, epsrel=1e-12, limit=200, full_output=1)
 # a root is accepted once a step is within _XTOL + _RTOL*|x|
 _XTOL, _RTOL = 1e-18, 8.9e-16
 # points per Chebyshev fit of rho/eps, tried in turn, and how often a piece
-# that does not chop at the last size is halved before giving up
+# that does not chop at the last size is halved, past rho.scale, before
+# giving up
 _CHEBYSHEV_SIZES = (17, 33, 65, 129)
 _CHEBYSHEV_DEPTH = 8
 
@@ -433,19 +434,20 @@ def _chebyshev_fit(f, a: float, b: float):
     return None
 
 
-def _chebyshev_pieces(f, a: float, b: float, depth: int = 0) -> list:
+def _chebyshev_pieces(f, a: float, b: float, halvings: int) -> list:
     """[(a, b, coefficients), ...] covering [a, b] left to right: one
-    series if f chops there, else those of the two halves, down to
-    _CHEBYSHEV_DEPTH halvings; then ArithmeticError names the piece."""
+    series if f chops there, else those of its two halves while
+    ``halvings`` remain; then ArithmeticError names the piece."""
     c = _chebyshev_fit(f, a, b)
     if c is not None:
         return [(a, b, c)]
-    if depth == _CHEBYSHEV_DEPTH:
+    if halvings == 0:
         raise ArithmeticError(
             f"rho/eps does not resolve on [{a!r}, {b!r}] m: declare every point "
             f"where rho or its slope jumps in ChargeProfile.steps")
     mid = a + 0.5 * (b - a)
-    return _chebyshev_pieces(f, a, mid, depth + 1) + _chebyshev_pieces(f, mid, b, depth + 1)
+    return (_chebyshev_pieces(f, a, mid, halvings - 1)
+            + _chebyshev_pieces(f, mid, b, halvings - 1))
 
 
 def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
@@ -458,8 +460,9 @@ def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
     stack's interfaces) rho/eps must be smooth: each such piece gets one
     Chebyshev series, integrated twice by the coefficient recurrence
     (chebfun's cumsum), and E and u carry across breaks as running sums.
-    A piece whose series does not chop is halved up to 8 times, then
-    ArithmeticError names it: an undeclared kink or step.
+    A piece whose series does not chop is halved until it is about
+    rho.scale wide (at most 20 times), then up to 8 times more;
+    past that budget ArithmeticError names it: an undeclared kink or step.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -469,10 +472,16 @@ def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
     if x_left == x_right:
         return [(x_left, 0.0, 0.0)] * n_samples
     ends = [x_left, *sorted({p for p in breaks if x_left < p < x_right}), x_right]
+    # halve down to about rho.scale, then _CHEBYSHEV_DEPTH more times; 1e6
+    # scales from x = 0 a node's rounding (1.1e-16 of x) reaches the chop
+    # test's 1e-10 of a scale, so further halvings would only chase noise
+    scales = min(max((x_right - x_left) / rho.scale, 1.0), 1e6)
+    halvings = _CHEBYSHEV_DEPTH + math.ceil(math.log2(scales))
     pieces = []  # (a, b, E(a), u(a), E series, u series)
     e_a = u_a = 0.0
     for lo, hi in zip(ends, ends[1:]):
-        for a, b, c in _chebyshev_pieces(lambda x: rho.fn(x) / eps_of_x(x), lo, hi):
+        for a, b, c in _chebyshev_pieces(lambda x: rho.fn(x) / eps_of_x(x), lo, hi,
+                                         halvings):
             half = 0.5 * (b - a)
             field = [half * v for v in _antiderivative(c)]
             potential = [-half * v for v in _antiderivative(field)]

@@ -209,6 +209,27 @@ class TestMaterialsCmd:
         code, _, _ = run(["materials", "--file", str(f)], capsys)
         assert code == 65
 
+    def test_blank_row_skipped(self, tmp_path, capsys):
+        f = tmp_path / "mats.csv"
+        f.write_text("name,eps_r,n_i_cm3,temp_K\n\nInP,12.5,1.3e7,300\n\n")
+        code, out, _ = run(["materials", "--file", str(f)], capsys)
+        assert code == 0
+        assert "InP" in out
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read material file "),
+        (b"name,eps_r\nInP,12.5\n", ":1: bad header"),
+        (b"name,eps_r,n_i_cm3,temp_K\nInP,12.5,1.3e7\n", ":2: wrong column count"),
+        (b"name,eps_r,n_i_cm3,temp_K\nIn\xff,12.5,1.3e7,300\n", "cannot read material file "),
+    ], ids=["missing", "bad-header", "column-count", "not-utf8"])
+    def test_bad_material_file_exit_65(self, content, message, tmp_path, capsys):
+        f = tmp_path / "mats.csv"
+        if content is not None:
+            f.write_bytes(content)
+        code, _, err = run(["materials", "--file", str(f)], capsys)
+        assert code == 65
+        assert err.startswith("error: ") and message in err
+
     def test_env_var_material_file(self, tmp_path, capsys, monkeypatch):
         f = tmp_path / "mats.csv"
         f.write_text("name,eps_r,n_i_cm3,temp_K\nInP,12.5,1.3e7,300\n")
@@ -246,7 +267,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [["--ld", "-1"], ["--ld", "10", "--temp", "-3"],
                                        ["--di", "-1", "--td", "10"], ["--ld", "1e300"],
-                                       ["--ld", "1e160"], ["--ld", "1e-200"]])
+                                       ["--ld", "1e160"], ["--ld", "1e-200"],
+                                       ["--ld", "10", "--material", "Unobtainium"]])
     def test_invalid_junction_flag_exit_64(self, flags, capsys):
         code, _, err = run(["solve", "--n0", "1e18", "--nb", "1e15", *flags,
                             "--bias", "1"], capsys)
@@ -263,7 +285,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag", ["--n0", "--nb", "--ld", "--xj", "--vbi",
                                       "--temp", "--bias"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
     def test_non_finite_flag_exit_64(self, flag, value, capsys):
         argv = {"--n0": "1e18", "--nb": "1e15", "--ld": "10", "--bias": "1"}
         argv[flag] = value
@@ -280,6 +302,14 @@ class TestExitCodes:
                      "3.0,7e-5\n4.0,6e-5\n")
         code, _, _ = run(["fit", "--data", str(f), "--nb", "1e15"], capsys)
         assert code == 65
+
+    @pytest.mark.parametrize("name", ["bad.csv", "bad.json"])
+    def test_non_utf8_curve_exit_65(self, name, tmp_path, capsys):
+        f = tmp_path / name
+        f.write_bytes(b"v_bias_V,c_b_F_per_m2\n0.0,1e-4\n\xff\n")
+        code, _, err = run(["fit", "--data", str(f), "--nb", "1e15"], capsys)
+        assert code == 65
+        assert err.startswith("bad data: not UTF-8: ")
 
     def test_json_curve_missing_key_exit_65(self, tmp_path, capsys):
         f = tmp_path / "missing.json"

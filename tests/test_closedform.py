@@ -62,6 +62,10 @@ class TestBiasAndPotential:
         with pytest.raises(ValueError):
             Bias(-1.0, "reverse")
 
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction"):
+            Bias(1.0, "sideways")
+
 
 class TestDefaultVbi:
     def test_worked_value(self):

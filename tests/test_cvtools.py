@@ -112,6 +112,20 @@ class TestSerialization:
             deserialize(b"volts,farads\n", "csv")
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("fmt, data", [
+        ("csv", b"v_bias_V,c_b_F_per_m2\n0.0,1e-4\n\xff\n"),
+        ("json", b'{"points": [], "spec": "\xff"}')], ids=["csv", "json"])
+    def test_non_utf8_rejected(self, fmt, data):
+        with pytest.raises(CurveFormatError, match="^not UTF-8: "):
+            deserialize(data, fmt)
+
+    def test_unknown_format_rejected(self):
+        curve = sweep(WORKED, 0.0, 10.0, 3)
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            serialize(curve, "xml")
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            deserialize(serialize(curve, "csv"), "xml")
+
 
 class TestFit:
     truth = JunctionSpec(material=SI,

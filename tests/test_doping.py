@@ -96,6 +96,8 @@ class TestJunctionDepth:
             GaussianProfile(n0=1e21, l_d=1e-5, n_b=1e21)
         with pytest.raises(NoJunctionError):
             GaussianProfile(n0=1e20, l_d=1e-5, n_b=1e21)
+        with pytest.raises(NoJunctionError, match="background"):
+            GaussianProfile(n0=1e24, l_d=1e-5, n_b=0.0)
 
     @given(st.floats(min_value=1e20, max_value=1e26),
            st.floats(min_value=1.5, max_value=1e6),
@@ -143,6 +145,10 @@ class TestChargeDensity:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             charge_density(self.profile, 0.0, "bogus")
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="from the surface inward"):
+            charge_density(self.profile, -1e-9)
 
 
 @pytest.mark.parametrize("field", ["n0", "l_d", "n_b"])

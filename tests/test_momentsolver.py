@@ -258,6 +258,39 @@ class TestReconstruct:
         a, b = map(float, re.search(r"\[(\S+), (\S+)\] m", str(exc.value)).groups())
         assert a < c < b
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-300])
+    def test_undeclared_kink_in_wide_interval_raises(self, scale):
+        # a 1 mm interval is 1 000 default scales wide: ten more halvings;
+        # a vanishing scale adds no more than 20
+        c = 0.3e-3
+        rho = ChargeProfile(fn=lambda x: Q * 1e20 * abs(x - c), scale=scale)
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="ChargeProfile.steps"):
+            reconstruct_field_potential(rho, SI.eps, 0.0, 1e-3, 201)
+        assert time.perf_counter() - start < 1.0
+
+    def test_wide_smooth_scr_resolves(self):
+        # W is ~3 600 L_d: only pieces near L_d wide resolve the Gaussian's
+        # edge, which takes more halvings of the SCR than 8
+        profile = GaussianProfile(n0=1e26, l_d=1e-7, n_b=1e20)
+        rho = ChargeProfile.net(profile)
+        sol = solve_two_sided(rho, SI.eps, junction_depth(profile), 1e4)
+        samples = reconstruct_field_potential(rho, SI.eps, sol.x_left, sol.x_right, 201)
+        with mpmath.workdps(40):
+            xl = mpmath.mpf(sol.x_left)
+            ref = [float((charge(profile, mpmath.mpf(x)) - charge(profile, xl))
+                         * mpmath.mpf(Q) / mpmath.mpf(SI.eps)) for x, _, _ in samples]
+        err = max(abs(s[1] - r) for s, r in zip(samples, ref))
+        assert err <= 1e-13 * max(map(abs, ref))
+
+    def test_empty_interval_is_zero(self):
+        assert reconstruct_field_potential(_NET, SI.eps, 2e-5, 2e-5, 5) == [(2e-5, 0.0, 0.0)] * 5
+
+    def test_nan_charge_inside_scr_raises(self):
+        rho = ChargeProfile(fn=lambda x: math.nan if x > 0.5e-6 else Q * 1e21)
+        with pytest.raises(ArithmeticError, match="non-finite rho/eps"):
+            reconstruct_field_potential(rho, SI.eps, 0.0, 1e-6, 21)
+
     def test_declared_kink_matches_analytic_field(self):
         # E = k/eps*(h(x - c) - h(-c)) with h(y) = y*|y|/2, an antiderivative of |y|
         c, k = 0.3e-6, Q * 1e28
@@ -272,6 +305,12 @@ class TestReconstruct:
 
 
 class TestSolveHetero:
+    def test_eps_past_stack_end_raises(self):
+        stack = HeteroStack(layers=((SI, 1e-6), (SI, 1e-3)))
+        assert stack.eps_at(1e-3) == SI.eps
+        with pytest.raises(StackExhaustedError):
+            stack.eps_at(2e-3)
+
     def test_single_layer_reduces_to_homogeneous(self):
         rho = ChargeProfile.paper(WORKED_PROFILE)
         target = WORKED.v_bi + 10.0
@@ -463,6 +502,7 @@ _NET = ChargeProfile.net(WORKED_PROFILE)
     lambda: solve_two_sided(_NET, -SI.eps, WORKED.x_j, 1.0),
     lambda: moment_integral(_PAPER, math.nan, WORKED.x_j, 4e-5),
     lambda: reconstruct_field_potential(_NET, math.inf, 2e-5, 3e-5, 5),
+    lambda: reconstruct_field_potential(_NET, SI.eps, 2e-5, 3e-5, 1),
 ], ids=["one-sided-nan-target", "one-sided-inf-target", "one-sided-nan-start",
         "one-sided-inf-start", "one-sided-negative-start", "stack-negative-start",
         "stack-start-past-end", "hetero-negative-start", "two-sided-nan-target",
@@ -471,7 +511,7 @@ _NET = ChargeProfile.net(WORKED_PROFILE)
         "reconstruct-reversed", "reconstruct-nan-left", "reconstruct-nan-right",
         "reconstruct-inf-right", "moment-past-stack-end", "reconstruct-past-stack-end",
         "one-sided-zero-eps", "two-sided-negative-eps", "moment-nan-eps",
-        "reconstruct-inf-eps"])
+        "reconstruct-inf-eps", "reconstruct-one-sample"])
 def test_entry_points_reject_bad_input(call, monkeypatch):
     # a plain ValueError, before any quadrature: no JunctionError subclass
     # raised from a probe or a quadrature node, and no hang
