@@ -107,7 +107,7 @@ def deserialize(data: bytes, fmt: str = "csv") -> CvCurve:
     if fmt == "json":
         try:
             obj = json.loads(text)
-        except ValueError as e:  # also over-long integers
+        except (ValueError, RecursionError) as e:  # also over-long integers, deep nesting
             raise CurveFormatError(f"invalid JSON: {e}") from e
         try:
             pts = tuple((p["v_bias"], p["c_b"], p.get("w_sc")) for p in obj["points"])
@@ -209,7 +209,8 @@ def fit(measured: CvCurve, material: Material, temp: float, n_b: float,
     """Extract (N0, L_d[, V_bi]) from C-V data by least squares on relative
     residuals of the closed-form capacitance.
 
-    n_b is the assumed background concentration (fixed, not fitted);
+    n_b is the assumed background concentration (fixed, not fitted; like
+    ``temp``, finite and positive, else ``ValueError``);
     initial_guess is (N0, L_d, V_bi) in SI when provided (N0 and L_d
     finite and positive, V_bi finite when fitted, else ``ValueError``),
     else the start is the best point of ``_seed_guess``'s grid. One bounded
@@ -227,6 +228,8 @@ def fit(measured: CvCurve, material: Material, temp: float, n_b: float,
         raise InsufficientDataError(f"need at least 5 points, got {len(measured)}")
     if not 0.0 < temp < math.inf:
         raise ValueError(f"temperature must be finite and positive, got {temp}")
+    if not 0.0 < n_b < math.inf:
+        raise ValueError(f"background N_B must be finite and positive, got {n_b:g} m^-3")
     if initial_guess is not None:
         n0_0, ld_0, vbi_0 = initial_guess
         for name, value, unit in (("N0", n0_0, "m^-3"), ("L_d", ld_0, "m")):

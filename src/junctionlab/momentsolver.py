@@ -30,11 +30,12 @@ from .errors import (StackExhaustedError, SurfaceReachedError,
 _QUAD_OPTS = dict(epsabs=1e-30, epsrel=1e-12, limit=200, full_output=1)
 # a root is accepted once a step is within _XTOL + _RTOL*|x|
 _XTOL, _RTOL = 1e-18, 8.9e-16
-# points per Chebyshev fit of rho/eps, tried in turn, and how often a piece
-# that does not chop at the last size is halved, past rho.scale, before
-# giving up
+# points per Chebyshev fit of rho/eps, tried in turn
 _CHEBYSHEV_SIZES = (17, 33, 65, 129)
-_CHEBYSHEV_DEPTH = 8
+# multiples of rho.scale past an interval's start where moment_integral and
+# reconstruct_field_potential split it too, so that a charge narrow against
+# the interval is not missed between the nodes of one piece
+_NEAR_SPLITS = (1, 3, 10, 30, 100)
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,9 @@ class ChargeProfile:
     """Evaluatable charge density x (m) -> rho (C/m^3). ``steps`` lists
     every point where rho or its slope jumps; between them rho must be
     smooth, or reconstruct_field_potential raises ArithmeticError.
-    ``scale`` is a characteristic length used to seed bracketing
-    searches."""
+    ``scale`` is a characteristic length: it seeds the bracketing searches
+    and places the near splits of moment_integral and
+    reconstruct_field_potential."""
 
     fn: Callable[[float], float]
     steps: tuple = ()
@@ -252,14 +254,14 @@ def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
     """Definite integral of x*rho(x)/eps(x) over [a, b].
 
     Splits at every permittivity boundary and declared charge step, and
-    at a + rho.scale*(1, 3, 10, 30, 100), so that a charge narrow against
-    [a, b] is not missed; adaptive quadrature to 1e-10 relative (1e-12
-    requested internally). ``a`` must be finite and ``a <= b``; ``b``
-    may be inf only for a constant permittivity, and for a HeteroStack
-    must not pass the stack end.
+    at the near splits a + rho.scale*(1, 3, 10, 30, 100), so that a
+    charge narrow against [a, b] is not missed; adaptive quadrature to
+    1e-10 relative (1e-12 requested internally). ``a`` must be finite and
+    ``a <= b``; ``b`` may be inf only for a constant permittivity, and for
+    a HeteroStack must not pass the stack end.
     """
     eps_of_x, breaks, _ = _domain(rho, eps, a, b)
-    near = (a + rho.scale * k for k in (1, 3, 10, 30, 100))
+    near = (a + rho.scale * k for k in _NEAR_SPLITS)
     return _running_integral(_moment_integrand(rho, eps_of_x), a, (*breaks, *near))(b)
 
 
@@ -395,9 +397,9 @@ def _clenshaw(c, t: float) -> float:
     return c[0] + t * b1 - b2
 
 
-def _chebyshev_fit(f, a: float, b: float):
-    """Chebyshev coefficients of f on [a, b], mapped to t in [-1, 1], or
-    None if the series does not chop.
+def _chebyshev_fit(f, a: float, b: float) -> list:
+    """Chebyshev coefficients of f on [a, b], mapped to t in [-1, 1];
+    ArithmeticError names [a, b] if the series does not chop.
 
     f is sampled at 17, 33, 65, ... points of the first kind, all interior.
     The series is accepted once the top quarter of its coefficients (the
@@ -431,23 +433,9 @@ def _chebyshev_fit(f, a: float, b: float):
                 c.pop()
             return c
         prev_tail = tail
-    return None
-
-
-def _chebyshev_pieces(f, a: float, b: float, halvings: int) -> list:
-    """[(a, b, coefficients), ...] covering [a, b] left to right: one
-    series if f chops there, else those of its two halves while
-    ``halvings`` remain; then ArithmeticError names the piece."""
-    c = _chebyshev_fit(f, a, b)
-    if c is not None:
-        return [(a, b, c)]
-    if halvings == 0:
-        raise ArithmeticError(
-            f"rho/eps does not resolve on [{a!r}, {b!r}] m: declare every point "
-            f"where rho or its slope jumps in ChargeProfile.steps")
-    mid = a + 0.5 * (b - a)
-    return (_chebyshev_pieces(f, a, mid, halvings - 1)
-            + _chebyshev_pieces(f, mid, b, halvings - 1))
+    raise ArithmeticError(
+        f"rho/eps does not resolve on [{a!r}, {b!r}] m: declare every point "
+        f"where rho or its slope jumps in ChargeProfile.steps")
 
 
 def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
@@ -456,13 +444,13 @@ def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
     finite interval within the stack.
 
     E(x) is the integral of rho/eps from x_left and u(x) = -integral of E,
-    with u(x_left) = 0. Between the declared breaks (rho.steps and the
-    stack's interfaces) rho/eps must be smooth: each such piece gets one
-    Chebyshev series, integrated twice by the coefficient recurrence
-    (chebfun's cumsum), and E and u carry across breaks as running sums.
-    A piece whose series does not chop is halved until it is about
-    rho.scale wide (at most 20 times), then up to 8 times more;
-    past that budget ArithmeticError names it: an undeclared kink or step.
+    with u(x_left) = 0. The SCR is split at the declared breaks
+    (rho.steps and the stack's interfaces) and at moment_integral's near
+    splits x_left + rho.scale*(1, 3, 10, 30, 100). Between the declared
+    breaks rho/eps must be smooth: each piece gets one Chebyshev series,
+    integrated twice by the coefficient recurrence (chebfun's cumsum), and
+    E and u carry across pieces as running sums. ArithmeticError names a
+    piece whose series does not chop: it holds an undeclared kink or step.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -471,23 +459,18 @@ def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
         raise ValueError(f"x_right must be finite, got {x_right}")
     if x_left == x_right:
         return [(x_left, 0.0, 0.0)] * n_samples
-    ends = [x_left, *sorted({p for p in breaks if x_left < p < x_right}), x_right]
-    # halve down to about rho.scale, then _CHEBYSHEV_DEPTH more times; 1e6
-    # scales from x = 0 a node's rounding (1.1e-16 of x) reaches the chop
-    # test's 1e-10 of a scale, so further halvings would only chase noise
-    scales = min(max((x_right - x_left) / rho.scale, 1.0), 1e6)
-    halvings = _CHEBYSHEV_DEPTH + math.ceil(math.log2(scales))
+    near = (x_left + rho.scale * k for k in _NEAR_SPLITS)
+    ends = [x_left, *sorted({p for p in (*breaks, *near) if x_left < p < x_right}), x_right]
     pieces = []  # (a, b, E(a), u(a), E series, u series)
     e_a = u_a = 0.0
-    for lo, hi in zip(ends, ends[1:]):
-        for a, b, c in _chebyshev_pieces(lambda x: rho.fn(x) / eps_of_x(x), lo, hi,
-                                         halvings):
-            half = 0.5 * (b - a)
-            field = [half * v for v in _antiderivative(c)]
-            potential = [-half * v for v in _antiderivative(field)]
-            pieces.append((a, b, e_a, u_a, field, potential))
-            e_a, u_a = e_a + sum(field), u_a - e_a * (b - a) + sum(potential)
-    rights = [p[1] for p in pieces]
+    for a, b in zip(ends, ends[1:]):
+        half = 0.5 * (b - a)
+        c = _chebyshev_fit(lambda x: rho.fn(x) / eps_of_x(x), a, b)
+        field = [half * v for v in _antiderivative(c)]
+        potential = [-half * v for v in _antiderivative(field)]
+        pieces.append((a, b, e_a, u_a, field, potential))
+        e_a, u_a = e_a + sum(field), u_a - e_a * (b - a) + sum(potential)
+    rights = ends[1:]
     out = []
     for i in range(n_samples):
         x = x_left + (x_right - x_left) * i / (n_samples - 1)

@@ -326,6 +326,7 @@ class TestExitCodes:
                     "4.0,6e-5\n",
         "big.json": json.dumps({"points": [{"v_bias": 10 ** 400 + k, "c_b": 1e-4}
                                            for k in range(5)], "spec": None}),
+        "deep.json": "[" * 100_000,
     }
 
     # one case per row of cli._ERROR_EXITS, via the error class named
@@ -350,6 +351,12 @@ class TestExitCodes:
           "--fit-vbi"], 64, "error: "),                               # ValueError
         (["fit", "--data", "{tmp}/big.json", "--nb", "1e15"], 65,
          "bad data: number too large"),                               # CurveFormatError
+        (["fit", "--data", "{tmp}/five.csv", "--nb", "0"], 64,
+         "error: background N_B must be finite and positive"),        # ValueError
+        (["fit", "--data", "{tmp}/five.csv", "--nb=-1e15"], 64,
+         "error: background N_B must be finite and positive"),        # ValueError
+        (["fit", "--data", "{tmp}/deep.json", "--nb", "1e15"], 65,
+         "bad data: invalid JSON: "),                                 # CurveFormatError
     ])
     def test_error_table(self, argv, code, prefix, tmp_path, capsys):
         for name, text in self.CURVES.items():

@@ -248,7 +248,7 @@ class TestReconstruct:
 
     def test_undeclared_kink_raises(self):
         # |x - c| has Chebyshev coefficients falling like 1/k^2, never a
-        # plateau; halving narrows it down, then names the piece
+        # plateau; the error names the piece between splits that holds c
         c = 0.3e-6
         rho = ChargeProfile(fn=lambda x: Q * 1e28 * abs(x - c))
         start = time.perf_counter()
@@ -260,8 +260,9 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-300])
     def test_undeclared_kink_in_wide_interval_raises(self, scale):
-        # a 1 mm interval is 1 000 default scales wide: ten more halvings;
-        # a vanishing scale adds no more than 20
+        # a 1 mm interval is 1 000 default scales wide, and a vanishing
+        # scale puts every near split within 1e-298 m of x = 0: either way
+        # the kink lies in the last piece, which does not chop
         c = 0.3e-3
         rho = ChargeProfile(fn=lambda x: Q * 1e20 * abs(x - c), scale=scale)
         start = time.perf_counter()
@@ -270,18 +271,28 @@ class TestReconstruct:
         assert time.perf_counter() - start < 1.0
 
     def test_wide_smooth_scr_resolves(self):
-        # W is ~3 600 L_d: only pieces near L_d wide resolve the Gaussian's
-        # edge, which takes more halvings of the SCR than 8
-        profile = GaussianProfile(n0=1e26, l_d=1e-7, n_b=1e20)
-        rho = ChargeProfile.net(profile)
-        sol = solve_two_sided(rho, SI.eps, junction_depth(profile), 1e4)
-        samples = reconstruct_field_potential(rho, SI.eps, sol.x_left, sol.x_right, 201)
-        with mpmath.workdps(40):
-            xl = mpmath.mpf(sol.x_left)
-            ref = [float((charge(profile, mpmath.mpf(x)) - charge(profile, xl))
-                         * mpmath.mpf(Q) / mpmath.mpf(SI.eps)) for x, _, _ in samples]
-        err = max(abs(s[1] - r) for s, r in zip(samples, ref))
-        assert err <= 1e-13 * max(map(abs, ref))
+        # W is 3 600 to 12 000 L_d and the charge varies only within a few
+        # L_d of x_left: the near splits put pieces there, where one series
+        # over the SCR would see only the flat -q*N_B and chop; |net| past
+        # x_j is -net, hence the one-sided sign
+        for n0, l_d, n_b, target, two_sided in ((1e26, 1e-7, 1e20, 1e4, True),
+                                                (1e26, 3e-8, 1e19, 1e3, True),
+                                                (1e26, 3e-8, 1e19, 1e3, False)):
+            profile = GaussianProfile(n0=n0, l_d=l_d, n_b=n_b)
+            x_j = junction_depth(profile)
+            if two_sided:
+                rho, sign = ChargeProfile.net(profile), 1
+                sol = solve_two_sided(rho, SI.eps, x_j, target)
+            else:
+                rho, sign = ChargeProfile.net_magnitude(profile), -1
+                sol = solve_one_sided(rho, SI.eps, x_j, target)
+            samples = reconstruct_field_potential(rho, SI.eps, sol.x_left, sol.x_right, 201)
+            with mpmath.workdps(40):
+                xl = mpmath.mpf(sol.x_left)
+                ref = [sign * float((charge(profile, mpmath.mpf(x)) - charge(profile, xl))
+                                    * mpmath.mpf(Q) / mpmath.mpf(SI.eps)) for x, _, _ in samples]
+            err = max(abs(s[1] - r) for s, r in zip(samples, ref))
+            assert err <= 1e-13 * max(map(abs, ref)), (l_d, target, two_sided)
 
     def test_empty_interval_is_zero(self):
         assert reconstruct_field_potential(_NET, SI.eps, 2e-5, 2e-5, 5) == [(2e-5, 0.0, 0.0)] * 5
