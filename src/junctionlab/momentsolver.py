@@ -14,9 +14,11 @@ only reflects the choice of potential reference.
 
 import bisect
 import functools
+import heapq
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,10 +26,28 @@ from .doping import GaussianProfile, charge_density, junction_depth
 from .errors import (StackExhaustedError, SurfaceReachedError,
                      UnreachablePotentialError)
 
-# the requested tolerances sit at machine precision, where QUADPACK's
-# roundoff flag is routine and harmless; full_output returns that flag
-# in the result tuple instead of issuing an IntegrationWarning
-_QUAD_OPTS = dict(epsabs=1e-30, epsrel=1e-12, limit=200, full_output=1)
+# QUADPACK's qk21 (Piessens et al., QUADPACK, Springer 1983), its published
+# 33 digits as the nearest doubles: the centre's Kronrod weight, then
+# (abscissa, Kronrod weight, Gauss weight) for the ten pairs of nodes +-x,
+# the 10-point Gauss nodes first, in qk21's order of summation; the other
+# Kronrod nodes have no Gauss weight
+_K21_CENTRE = 0.1494455540029169
+_GK21 = (
+    (0.9739065285171717, 0.032558162307964725, 0.06667134430868814),
+    (0.8650633666889845, 0.07503967481091996, 0.1494513491505806),
+    (0.6794095682990244, 0.10938715880229764, 0.21908636251598204),
+    (0.4333953941292472, 0.13470921731147334, 0.26926671930999635),
+    (0.14887433898163122, 0.14773910490133849, 0.29552422471475287),
+    (0.9956571630258081, 0.011694638867371874, 0.0),
+    (0.9301574913557082, 0.054755896574351995, 0.0),
+    (0.7808177265864169, 0.0931254545836976, 0.0),
+    (0.5627571346686047, 0.12349197626206584, 0.0),
+    (0.2943928627014602, 0.14277593857706009, 0.0),
+)
+# qk21's error floor, relative to the integral of |f|
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
+# the tolerances qagse is asked for, and its limit on panels
+_EPSABS, _EPSREL, _PANELS = 1e-30, 1e-12, 200
 # a root is accepted once a step is within _XTOL + _RTOL*|x|
 _XTOL, _RTOL = 1e-18, 8.9e-16
 # points per Chebyshev fit of rho/eps, tried in turn
@@ -130,6 +150,76 @@ def _moment_integrand(rho: ChargeProfile, eps_of_x,
     return integrand
 
 
+def _qk21(f, a: float, b: float) -> tuple:
+    """(integral, error estimate, integral of |f - mean|) of f on [a, b],
+    a <= b, by the 21-point Kronrod rule, its error taken from the
+    embedded 10-point Gauss rule as qk21 scales it, with qk21's roundoff
+    floor."""
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(centre)
+    resg, resk = 0.0, _K21_CENTRE * fc
+    resabs = abs(resk)
+    fv1, fv2 = [], []
+    for x, wk, wg in _GK21:
+        dx = half * x
+        f1, f2 = f(centre - dx), f(centre + dx)
+        fv1.append(f1)
+        fv2.append(f2)
+        pair = f1 + f2
+        resg += wg * pair
+        resk += wk * pair
+        resabs += wk * (abs(f1) + abs(f2))
+    mean = 0.5 * resk
+    resasc = _K21_CENTRE * abs(fc - mean)
+    for (_, wk, _), f1, f2 in zip(_GK21, fv1, fv2):
+        resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
+    resabs *= half
+    resasc *= half
+    err = abs((resk - resg) * half)
+    if resasc and err:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return resk * half, max(err, _ROUNDOFF * resabs), resasc
+
+
+def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
+    """Integral of fn over [a, b], a finite and b finite or inf.
+
+    Adaptive Gauss-Kronrod as QUADPACK's qagse runs it, without its
+    extrapolation: the first qk21 panel is kept if its error is within
+    max(1e-30, 1e-12*|integral|) and differs from its integral of
+    |f - mean| (an error equal to that is qk21's cap, not an estimate), or
+    is 0. Otherwise the panel with the largest error is bisected until the
+    errors sum to within that tolerance of the sum, or 200 panels are
+    used. [a, inf) is integrated over t in (0, 1] with x = a + (1 - t)/t.
+    Only interior nodes are evaluated, never a or b.
+    """
+    if b == math.inf:
+        origin = a
+
+        def f(t):
+            return fn(origin + (1.0 - t) / t) / (t * t)
+        a, b = 0.0, 1.0
+    else:
+        f = fn
+    r, err, resasc = _qk21(f, a, b)
+    if err <= max(_EPSABS, _EPSREL * abs(r)) and err != resasc or err == 0.0:
+        return r
+    area, errsum = r, err
+    heap = [(-err, a, b, r)]
+    for _ in range(_PANELS - 1):
+        neg_err, lo, hi, r = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        r1, e1, _ = _qk21(f, lo, mid)
+        r2, e2, _ = _qk21(f, mid, hi)
+        heapq.heappush(heap, (-e1, lo, mid, r1))
+        heapq.heappush(heap, (-e2, mid, hi, r2))
+        area += r1 + r2 - r
+        errsum += e1 + e2 + neg_err
+        if errsum <= max(_EPSABS, _EPSREL * abs(area)):
+            break
+    return math.fsum(panel[3] for panel in heap)
+
+
 def _running_integral(fn: Callable[[float], float], origin: float,
                       breaks) -> Callable[[float], float]:
     """x -> integral of fn from origin to x, remembered at every x asked for.
@@ -138,10 +228,9 @@ def _running_integral(fn: Callable[[float], float], origin: float,
     the origin and itself, so every value is a sum of increments growing
     away from the origin, never a difference taken from a point farther
     out, and asking again for a remembered x costs no quadrature. Each
-    increment is split at the breaks inside it, summed left to right.
+    increment is split at the breaks inside it, and each piece integrated
+    by _quad, summed left to right.
     """
-    from scipy.integrate import quad
-
     xs, values = [origin], [0.0]
 
     def value(x):
@@ -151,7 +240,7 @@ def _running_integral(fn: Callable[[float], float], origin: float,
         lo, hi = (xs[i - 1], x) if x > origin else (x, xs[i])
         step = 0.0
         for p in (*sorted({p for p in breaks if lo < p < hi}), hi):
-            step += quad(fn, lo, p, **_QUAD_OPTS)[0]
+            step += _quad(fn, lo, p)
             lo = p
         v = values[i - 1] + step if x > origin else values[i] - step
         xs.insert(i, x)

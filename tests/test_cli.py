@@ -166,7 +166,35 @@ class TestFitCmd:
         assert err.startswith("error: cannot read /no/such/file.csv: ")
 
 
+# stdout of `oracle --bias 10` on the worked junction, pinned to the digit
+ORACLE_PAPER = (
+    "model: paper\n"
+    "closed-form W_SC = 0.283896436 um\n"
+    "numerical  W_SC = 0.283896436 um\n"
+    "deviation = 1.16467e-15 um (4.10245e-15 relative)\n"
+)
+ORACLE_NET = (
+    "model: net\n"
+    "closed-form W_SC = 0.283896436 um\n"
+    "numerical  W_SC = 1.07876599 um\n"
+    "deviation = 0.79487 um (2.79986 relative)\n"
+)
+ORACLE_TWO_SIDED = ORACLE_PAPER + (
+    "two-sided net W_SC = 5.65572945 um [24.0688292, 29.7245587] um\n"
+    "two-sided vs closed-form deviation = 18.9218 relative (diagnostic)\n"
+)
+
+
 class TestOracleCmd:
+    @pytest.mark.parametrize("flags, golden", [
+        (["--model", "paper"], ORACLE_PAPER),
+        (["--model", "net"], ORACLE_NET),
+        (["--two-sided"], ORACLE_TWO_SIDED),
+    ], ids=["paper", "net", "two-sided"])
+    def test_worked_junction_golden(self, flags, golden, capsys):
+        code, out, err = run(["oracle", *WORKED, "--bias", "10", *flags], capsys)
+        assert (code, out, err) == (0, golden, "")
+
     def test_paper_model_agrees(self, capsys):
         code, out, _ = run(["oracle", *WORKED, "--bias", "10"], capsys)
         assert code == 0

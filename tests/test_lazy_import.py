@@ -1,12 +1,13 @@
-"""scipy loads only on the paths that call it.
+"""scipy loads only on the one path that calls it, the fit.
 
 The closed form and its C-V kernel `cv_points`, `sweep`, serialization
 and the CLI's `solve`, `sweep` and `materials` need no scipy (nor numpy).
-`momentsolver` is an ordinary import of the package: it imports
-`scipy.integrate.quad` inside the function that integrates, so importing
-it and building its inputs loads neither. The field reconstruction
-integrates Chebyshev series in pure `math`, so a reconstruction with no
-solve before it loads neither as well.
+Nor does the oracle: `momentsolver` integrates by its own Gauss-Kronrod
+rule and reconstructs the field from Chebyshev series, both in pure
+`math`, so its solves, `moment_integral` to infinity, a `HeteroStack`
+solve and the CLI's `oracle --two-sided --emit-profile` load neither.
+Only `fit` imports `scipy.optimize.least_squares`; the control runs it
+to show that the probe sees an import.
 """
 
 import json
@@ -66,8 +67,30 @@ momentsolver.reconstruct_field_potential(momentsolver.ChargeProfile.net(profile)
                                          2.4068829208113994e-05, 2.972455866256642e-05, 201)
 """
 
-ORACLE = CLOSED_FORM + """
-assert cli.main(["oracle", *WORKED, "--bias", "10"]) == 0
+# one cold process through every oracle entry point on the worked junction
+ORACLE = """
+import math
+import junctionlab as jl
+from junctionlab import cli, momentsolver
+si = jl.get_material("Si")
+profile = jl.GaussianProfile(n0=1e24, l_d=1e-5, n_b=1e21)
+spec = jl.JunctionSpec(material=si, profile=profile)
+target = spec.v_bi + 10.0
+paper = momentsolver.ChargeProfile.paper(profile)
+momentsolver.solve_one_sided(paper, si.eps, spec.x_j, target)
+momentsolver.solve_two_sided(momentsolver.ChargeProfile.net(profile), si.eps, spec.x_j, target)
+momentsolver.moment_integral(paper, si.eps, spec.x_j, math.inf)
+momentsolver.solve_hetero(momentsolver.HeteroStack(layers=((si, 1e-3),)), paper, spec.x_j,
+                          target)
+assert cli.main(["oracle", *WORKED, "--bias", "10", "--two-sided",
+                 "--emit-profile", OUT]) == 0
+"""
+
+FIT = """
+from junctionlab import cli
+assert cli.main(["sweep", *WORKED, "--vstart", "0", "--vstop", "20", "--steps", "11",
+                 "--out", OUT]) == 0
+assert cli.main(["fit", "--data", OUT, "--nb", "1e15"]) == 0
 """
 
 REPORT = """
@@ -97,9 +120,13 @@ def test_reconstruction_loads_no_scipy_or_numpy(tmp_path):
     assert _heavy_modules(RECONSTRUCTION, tmp_path) == []
 
 
-def test_oracle_loads_scipy(tmp_path):
+def test_oracle_paths_load_no_scipy_or_numpy(tmp_path):
+    assert _heavy_modules(ORACLE, tmp_path) == []
+
+
+def test_fit_loads_scipy(tmp_path):
     # the control: the probe above does see an import of scipy
-    assert "scipy" in _heavy_modules(ORACLE, tmp_path)
+    assert "scipy" in _heavy_modules(FIT, tmp_path)
 
 
 LAZY_NAMES = ["ChargeProfile", "HeteroStack", "ScrSolution", "moment_integral",

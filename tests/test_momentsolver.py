@@ -5,7 +5,6 @@ import time
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 from numpy.testing import assert_allclose
 
 from junctionlab import (Bias, ChargeProfile, GaussianProfile, HeteroStack,
@@ -13,6 +12,7 @@ from junctionlab import (Bias, ChargeProfile, GaussianProfile, HeteroStack,
                          moment_integral, reconstruct_field_potential,
                          solve_hetero, solve_one_sided, solve_two_sided,
                          validity_window, w_sc_general)
+from junctionlab import momentsolver
 from junctionlab.errors import (StackExhaustedError, SurfaceReachedError,
                                 UnreachablePotentialError)
 
@@ -84,7 +84,108 @@ class TestMomentIntegral:
         assert_allclose(moment_integral(rho, SI.eps, a, b), expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("scale", [-1e-6, 0.0, math.nan, math.inf, -math.inf])
+def _counted(fn):
+    """fn, and the list of points it is called at."""
+    xs = []
+
+    def f(x):
+        xs.append(x)
+        return fn(x)
+    return f, xs
+
+
+class TestQuadratureRule:
+    """momentsolver._quad, QUADPACK's qk21 run adaptively as qagse runs it."""
+
+    def test_gauss_nodes_and_weights(self):
+        gauss = [(x, wg) for x, _, wg in momentsolver._GK21 if wg]
+        nodes = sorted([-x for x, _ in gauss] + [x for x, _ in gauss])
+        weights = [wg for _, wg in sorted(gauss, key=lambda g: -g[0])]
+        x_ref, w_ref = np.polynomial.legendre.leggauss(10)
+        assert_allclose(nodes, x_ref, rtol=0, atol=2e-16)
+        assert_allclose(weights + weights[::-1], w_ref, rtol=0, atol=2e-16)
+        # and the Kronrod weights integrate the constant 1 over [-1, 1] to 2
+        kronrod = 2.0 * sum(wk for _, wk, _ in momentsolver._GK21)
+        assert abs(kronrod + momentsolver._K21_CENTRE - 2.0) <= 4e-16
+
+    @pytest.mark.parametrize("a, b", [(0.5, 2.0), (-3.0, -1.0), (3.0, 3.5), (1e-3, 1.0)])
+    def test_kronrod_exact_to_degree_30(self, a, b):
+        for k in range(31):
+            exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+            got = momentsolver._qk21(lambda x: x ** k, a, b)[0]
+            assert abs(got - exact) <= 1e-14 * abs(exact), k
+
+    def test_agrees_with_quadpack_on_solver_integrands(self):
+        from scipy.integrate import quad
+        rng = np.random.default_rng(18)
+        cases = 0
+        for _ in range(25):
+            n_b = 10.0 ** rng.uniform(19.0, 23.0)
+            p = GaussianProfile(n0=n_b * 10.0 ** rng.uniform(0.5, 5.0),
+                                l_d=10.0 ** rng.uniform(-8.0, -4.5), n_b=n_b)
+            x_j = junction_depth(p)
+            near = [x_j + p.l_d * k for k in (0, *momentsolver._NEAR_SPLITS)]
+            pieces = [*zip(near, near[1:]), (0.0, x_j)]
+            for rho, centre in ((ChargeProfile.paper(p), 0.0), (ChargeProfile.net(p), x_j),
+                                (ChargeProfile.net_magnitude(p), 0.0)):
+                fn = momentsolver._moment_integrand(rho, lambda x: SI.eps, centre)
+                integrals = [(fn, a, b) for a, b in pieces] + [(rho.fn, a, b) for a, b in pieces]
+                if rho.steps == () and centre == 0.0:
+                    # only the paper moment converges to infinity
+                    integrals += [(fn, a, math.inf) for a in (0.0, x_j, near[-1])]
+                # a permittivity step, split there as the running integral splits
+                interface = x_j + p.l_d * rng.uniform(0.2, 3.0)
+                stack = HeteroStack(layers=((SI, interface), (get_material("Ge"), 1.0)))
+                fn = momentsolver._moment_integrand(rho, stack.eps_at, centre)
+                integrals += [(fn, x_j, interface), (fn, interface, x_j + 5.0 * p.l_d)]
+                for fn, a, b in integrals:
+                    f, xs = _counted(fn)
+                    ours = momentsolver._quad(f, a, b)
+                    g, xs_ref = _counted(fn)
+                    ref = quad(g, a, b, epsabs=1e-30, epsrel=1e-12, limit=200,
+                               full_output=1)[0]
+                    assert abs(ours - ref) <= 1e-13 * abs(ref), (a, b, ours, ref)
+                    # on a finite interval it bisects the same panels; to
+                    # inf quad runs qk15i where the rule runs qk21
+                    assert len(xs) == len(xs_ref) or b == math.inf, (a, b)
+                    cases += 1
+        assert cases == 25 * (3 * 14 + 3)
+
+    @pytest.mark.parametrize("fn, a, b", [
+        (lambda x: math.exp(-x * x), 0.0, 1.0),         # one panel
+        (lambda x: abs(x - 0.3), 0.0, 1.0),             # bisected at a kink
+        (lambda x: x * math.exp(-x * x), 0.0, math.inf),
+    ], ids=["smooth", "kink", "to-inf"])
+    def test_never_evaluates_an_endpoint(self, fn, a, b):
+        f, xs = _counted(fn)
+        momentsolver._quad(f, a, b)
+        assert xs and all(a < x < b for x in xs)
+
+    def test_infinite_interval_binds_its_start(self):
+        # x*exp(-x^2) from 100 to inf is exp(-10^4)/2, which underflows to 0
+        assert momentsolver._quad(lambda x: x * math.exp(-x * x), 100.0, math.inf) == 0.0
+        assert_allclose(momentsolver._quad(lambda x: x * math.exp(-x * x), 1.0, math.inf),
+                        0.5 * math.exp(-1.0), rtol=1e-13)
+
+    def test_exhausted_panels_return_a_finite_sum(self):
+        # 1.6e8 periods of sin(1e9*x) on [0, 1]: no panel of 200 resolves
+        # one, so every panel keeps an error near its width
+        f, xs = _counted(lambda x: math.sin(1e9 * x))
+        assert math.isfinite(momentsolver._quad(f, 0.0, 1.0))
+        assert len(xs) == 21 * (2 * momentsolver._PANELS - 1)
+
+    def test_worked_junction_rho_evaluations(self):
+        # the oracle's machine-independent cost on the worked junction
+        target = WORKED.v_bi + 10.0
+        paper, xs = _counted(ChargeProfile.paper(WORKED_PROFILE).fn)
+        solve_one_sided(ChargeProfile(fn=paper, scale=1e-5), SI.eps, WORKED.x_j, target)
+        assert len(xs) <= 111
+        net, xs = _counted(ChargeProfile.net(WORKED_PROFILE).fn)
+        solve_two_sided(ChargeProfile(fn=net, scale=1e-5), SI.eps, WORKED.x_j, target)
+        assert len(xs) <= 1268
+
+
+@pytest.mark.parametrize("scale",[-1e-6, 0.0, math.nan, math.inf, -math.inf])
 def test_charge_profile_scale_validation(scale):
     # a scale that is not finite and positive would stall the bracket
     # search at a zero-slope origin, so only the constructor is called
@@ -527,9 +628,9 @@ def test_entry_points_reject_bad_input(call, monkeypatch):
     # a plain ValueError, before any quadrature: no JunctionError subclass
     # raised from a probe or a quadrature node, and no hang
     calls = []
-    real_quad = scipy.integrate.quad
-    monkeypatch.setattr(scipy.integrate, "quad",
-                        lambda *args, **kwargs: calls.append(1) or real_quad(*args, **kwargs))
+    real_quad = momentsolver._quad
+    monkeypatch.setattr(momentsolver, "_quad",
+                        lambda *args: calls.append(1) or real_quad(*args))
     with pytest.raises(ValueError) as exc:
         call()
     assert type(exc.value) is ValueError
@@ -538,21 +639,22 @@ def test_entry_points_reject_bad_input(call, monkeypatch):
 
 def test_quadrature_count(monkeypatch):
     # machine-independent cost: quadratures per solve on the worked junction
+    # (a gate that counts nothing fails its calls > 0)
     calls = 0
-    real_quad = scipy.integrate.quad
+    real_quad = momentsolver._quad
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return real_quad(*args, **kwargs)
+        return real_quad(*args)
 
-    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    monkeypatch.setattr(momentsolver, "_quad", counted)
     target = WORKED.v_bi + 10.0
     solve_one_sided(ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, target)
-    assert calls <= 8
+    assert 0 < calls <= 8
     calls = 0
     sol = solve_two_sided(ChargeProfile.net(WORKED_PROFILE), SI.eps, WORKED.x_j, target)
-    assert calls <= 160
+    assert 0 < calls <= 160
     calls = 0
     # the reconstruction integrates Chebyshev series, never by quadrature
     reconstruct_field_potential(ChargeProfile.net(WORKED_PROFILE), SI.eps,
@@ -563,21 +665,21 @@ def test_quadrature_count(monkeypatch):
     calls = 0
     with pytest.raises(UnreachablePotentialError):
         solve_one_sided(ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, 200.0)
-    assert calls <= 6
+    assert 0 < calls <= 6
     # in a stack the tail stops at the stack end, at the same cost
     calls = 0
     with pytest.raises(UnreachablePotentialError):
         solve_one_sided(ChargeProfile.paper(WORKED_PROFILE), HeteroStack(layers=((SI, 1e-3),)),
                         WORKED.x_j, 200.0)
-    assert calls <= 6
+    assert 0 < calls <= 6
     calls = 0
     moment_integral(ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, math.inf)
-    assert calls <= 6
+    assert 0 < calls <= 6
     # the two-sided supremum is one neutral region out to the domain's end
     calls = 0
     with pytest.raises(UnreachablePotentialError):
         solve_two_sided(_BOUNDED, SI.eps, _BOUNDED_XJ, 1e6)
-    assert calls <= 30
+    assert 0 < calls <= 30
 
 
 def test_newton_helper_keeps_to_its_bracket():
