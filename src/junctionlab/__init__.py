@@ -3,11 +3,6 @@
 Closed forms for the general, shallow, and deep-diffused regimes, an
 independent numerical solver built on Gauss's law that verifies them,
 and C-V sweep / parameter-extraction tooling.
-
-scipy is imported only inside the one call that uses it, the fit. So
-``import junctionlab``, the closed-form, sweep and serialization paths
-and the numerical solver, which integrates by its own Gauss-Kronrod rule,
-load neither scipy nor numpy.
 """
 
 from .closedform import (Bias, JunctionSpec, Regime, SolveResult,

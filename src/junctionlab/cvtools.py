@@ -6,6 +6,7 @@ forward, matching the single-substitution rule of the closed forms.
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 from .closedform import (JunctionSpec, Regime, cv_points, default_vbi,
@@ -151,6 +152,11 @@ def deserialize(data: bytes, fmt: str = "csv") -> CvCurve:
 
 @dataclass(frozen=True)
 class FitResult:
+    """The fitted junction (SI units) and how the solve ended: ``objective``
+    is the sum of squared relative residuals, ``iterations`` the number of
+    residual evaluations, finite-difference Jacobians included, and
+    ``converged`` false when the evaluation limit stopped the solve."""
+
     n0_hat: float
     ld_hat: float
     vbi_hat: float
@@ -159,16 +165,113 @@ class FitResult:
     converged: bool
 
 
+# the solver's tolerance on a step and on a decrease, and its limit on
+# residual evaluations
+_TOL, _EVALUATIONS = 1e-15, 2000
+# a finite-difference step, relative to max(1, |theta_j|)
+_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
+# V_bi's bounds, volts
+_VBI_LO, _VBI_HI = 0.05, 2.0
+
+
+def _cholesky_solve(a, b):
+    """x with a*x = b for a symmetric a given as rows, or None when a is
+    not positive definite."""
+    n = len(b)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = a[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
+            if i > j:
+                low[i][j] = s / low[j][j]
+            elif s > 0.0:
+                low[i][i] = math.sqrt(s)
+            else:
+                return None
+    y = []
+    for i in range(n):
+        y.append((b[i] - sum(low[i][k] * y[k] for k in range(i))) / low[i][i])
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (y[i] - sum(low[k][i] * x[k] for k in range(i + 1, n))) / low[i][i]
+    return x
+
+
+def _levenberg_marquardt(fun, theta, lower, upper):
+    """Minimise the sum of squares of ``fun(theta)``, a list of residuals,
+    with theta in the box [lower, upper], from theta (inside it).
+
+    Levenberg-Marquardt as Madsen, Nielsen & Tingleff (*Methods for
+    Non-Linear Least Squares Problems*, 2004) give it in alg. 3.16: damping
+    mu*I from mu = 1e-3*max diag(J^T J), each step solved by Cholesky and
+    projected onto the box. The Jacobian is forward differences with step
+    sqrt(eps)*max(1, |theta_j|), taken backwards where the forward one
+    would pass the upper bound. Returns (theta, residuals, evaluations,
+    converged): converged when a step is within _TOL*(|theta| + _TOL) or
+    an accepted step lowers the sum by at most _TOL of it, not converged
+    after _EVALUATIONS residual evaluations.
+    """
+    n = len(theta)
+    r = fun(theta)
+    f = sum(x * x for x in r)
+    evaluations = 1
+    mu = None
+    while True:
+        columns = []
+        for j in range(n):
+            if evaluations == _EVALUATIONS:
+                return theta, r, evaluations, False
+            h = _SQRT_EPS * max(1.0, abs(theta[j]))
+            if theta[j] + h > upper[j]:
+                h = -h
+            shifted = list(theta)
+            shifted[j] += h
+            columns.append([(a - b) / h for a, b in zip(fun(shifted), r)])
+            evaluations += 1
+        jtj = [[sum(p * q for p, q in zip(ci, cj)) for cj in columns] for ci in columns]
+        g = [sum(p * q for p, q in zip(ci, r)) for ci in columns]
+        if not any(g):
+            # a stationary point; where J = 0 no damping would make a step
+            return theta, r, evaluations, True
+        if mu is None:
+            mu = 1e-3 * max(jtj[i][i] for i in range(n))
+        nu = 2.0
+        while True:
+            step = _cholesky_solve([[a + (mu if i == j else 0.0) for j, a in enumerate(row)]
+                                    for i, row in enumerate(jtj)], [-x for x in g])
+            if step is None:
+                mu, nu = mu * nu, 2.0 * nu
+                continue
+            trial = [min(max(t + s, lo), hi)
+                     for t, s, lo, hi in zip(theta, step, lower, upper)]
+            if math.dist(trial, theta) <= _TOL * (math.hypot(*theta) + _TOL):
+                return theta, r, evaluations, True
+            if evaluations == _EVALUATIONS:
+                return theta, r, evaluations, False
+            r_trial = fun(trial)
+            evaluations += 1
+            f_trial = sum(x * x for x in r_trial)
+            if f_trial < f:
+                break
+            mu, nu = mu * nu, 2.0 * nu
+        decrease = f - f_trial
+        if decrease <= _TOL * f:
+            return trial, r_trial, evaluations, True
+        # the gain ratio: the decrease over the one the linear model predicts
+        gain = decrease / sum(s * (mu * s - gi) for s, gi in zip(step, g))
+        mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        theta, r, f = trial, r_trial, f_trial
+
+
 def _residuals(theta, measured, material, temp, n_b, fit_vbi):
-    """Relative residuals (C_model - C_meas)/C_meas, one per point. Where
-    the model is undefined each residual grows with the distance from the
-    valid region, so the solver is led back into it."""
+    """Relative residuals (C_model - C_meas)/C_meas, one per point, of the
+    junction theta = (ln s_j^2, ln L_d[, V_bi]), where N0 = N_B*exp(s_j^2),
+    so every theta is a junction. Where the model is undefined each
+    residual grows with the distance from the valid region, so the solver
+    is led back into it."""
     try:
-        n0 = math.exp(theta[0])
-        if n0 <= n_b:
-            # no junction; drive N0 back above the background
-            return [1e6 * (1.0 + math.log(n_b / n0))] * len(measured)
-        profile = GaussianProfile(n0=n0, l_d=math.exp(theta[1]), n_b=n_b)
+        profile = GaussianProfile(n0=n_b * math.exp(math.exp(theta[0])),
+                                  l_d=math.exp(theta[1]), n_b=n_b)
         vbi = theta[2] if fit_vbi else default_vbi(profile, material, temp)
         spec = JunctionSpec(material=material, profile=profile, temp=temp, v_bi=vbi)
         window = validity_window(spec)
@@ -191,13 +294,15 @@ def _residuals(theta, measured, material, temp, n_b, fit_vbi):
 
 
 def _seed_guess(measured, material, temp, n_b, fit_vbi):
-    """Deterministic coarse grid over (ln N0, ln L_d), V_bi at 0.7 V, ranked
-    by the sum of squared residuals; the best point starts the fit when the
-    caller supplies no initial guess."""
+    """Deterministic coarse grid over (ln s_j^2, ln L_d): ln s_j^2 from -4
+    to 4 in steps of 1 (N0/N_B from 1.02 to 5e23), L_d from 1e-8 to 1e-3 m
+    in half decades, V_bi at 0.7 V; ranked by the sum of squared
+    residuals, the best point starts the fit when the caller supplies no
+    initial guess."""
     best = None
-    for ln_n0 in [math.log(10.0 ** e) for e in range(21, 28)]:
+    for ln_sj2 in range(-4, 5):
         for ln_ld in [math.log(10.0 ** (e / 2.0)) for e in range(-16, -5)]:
-            theta = [ln_n0, ln_ld] + ([0.7] if fit_vbi else [])
+            theta = [float(ln_sj2), ln_ld] + ([0.7] if fit_vbi else [])
             val = sum(r * r for r in _residuals(theta, measured, material, temp, n_b, fit_vbi))
             if best is None or val < best[1]:
                 best = (theta, val)
@@ -212,18 +317,16 @@ def fit(measured: CvCurve, material: Material, temp: float, n_b: float,
     n_b is the assumed background concentration (fixed, not fitted; like
     ``temp``, finite and positive, else ``ValueError``);
     initial_guess is (N0, L_d, V_bi) in SI when provided (N0 and L_d
-    finite and positive, V_bi finite when fitted, else ``ValueError``),
-    else the start is the best point of ``_seed_guess``'s grid. One bounded
-    trust-region least-squares solve (scipy ``least_squares``, method
-    ``trf``) over (ln N0, ln L_d[, V_bi]), V_bi within [0.05, 2] V.
-    ``objective`` is the sum of squared residuals at the solution,
-    ``iterations`` the number of residual evaluations (finite-difference
-    Jacobian evaluations not counted) and ``converged`` whether a
+    finite and positive, N0 above n_b, V_bi finite when fitted, else
+    ``ValueError``), else the start is the best point of ``_seed_guess``'s
+    grid. One bounded Levenberg-Marquardt solve (``_levenberg_marquardt``)
+    over (ln s_j^2, ln L_d[, V_bi]), s_j^2 = ln(N0/N_B), V_bi within
+    [0.05, 2] V. ``objective`` is the sum of squared residuals at the
+    solution, ``iterations`` the number of residual evaluations, those of
+    the finite-difference Jacobian included, and ``converged`` whether a
     tolerance, not the evaluation limit, stopped the solve.
     Deterministic given inputs.
     """
-    from scipy.optimize import least_squares
-
     if len(measured) < 5:
         raise InsufficientDataError(f"need at least 5 points, got {len(measured)}")
     if not 0.0 < temp < math.inf:
@@ -236,23 +339,27 @@ def fit(measured: CvCurve, material: Material, temp: float, n_b: float,
             if not 0.0 < value < math.inf:
                 raise ValueError(f"initial guess {name} must be finite and positive, "
                                  f"got {value:g} {unit}")
+        if n0_0 <= n_b:
+            raise ValueError(f"initial guess N0 must exceed N_B = {n_b:g} m^-3, "
+                             f"got {n0_0:g} m^-3")
         if fit_vbi and not math.isfinite(vbi_0):
             raise ValueError(f"initial guess V_bi must be finite, got {vbi_0:g} V")
         # a guess is only a start: move its V_bi inside the bounds
-        x0 = [math.log(n0_0), math.log(ld_0)] + ([min(max(vbi_0, 0.05), 2.0)] if fit_vbi else [])
+        theta = [math.log(math.log(n0_0 / n_b)), math.log(ld_0)]
+        if fit_vbi:
+            theta.append(min(max(vbi_0, _VBI_LO), _VBI_HI))
     else:
-        x0 = _seed_guess(measured, material, temp, n_b, fit_vbi)
-    bounds = (([-math.inf, -math.inf, 0.05], [math.inf, math.inf, 2.0]) if fit_vbi
-              else (-math.inf, math.inf))
-    sol = least_squares(_residuals, x0, bounds=bounds, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                        max_nfev=2000, args=(measured, material, temp, n_b, fit_vbi))
-    objective = float(sol.fun @ sol.fun)
+        theta = _seed_guess(measured, material, temp, n_b, fit_vbi)
+    lower, upper = [-math.inf, -math.inf, _VBI_LO], [math.inf, math.inf, _VBI_HI]
+    theta, res, evaluations, converged = _levenberg_marquardt(
+        lambda t: _residuals(t, measured, material, temp, n_b, fit_vbi), theta, lower, upper)
+    objective = sum(r * r for r in res)
     if objective >= 1e12:
         raise UnfittableDataError("no valid model anywhere the fit searched")
 
-    n0_hat = math.exp(sol.x[0])
-    ld_hat = math.exp(sol.x[1])
-    vbi_hat = float(sol.x[2]) if fit_vbi else default_vbi(
+    n0_hat = n_b * math.exp(math.exp(theta[0]))
+    ld_hat = math.exp(theta[1])
+    vbi_hat = theta[2] if fit_vbi else default_vbi(
         GaussianProfile(n0=n0_hat, l_d=ld_hat, n_b=n_b), material, temp)
     return FitResult(n0_hat=n0_hat, ld_hat=ld_hat, vbi_hat=vbi_hat,
-                     objective=objective, iterations=int(sol.nfev), converged=sol.status > 0)
+                     objective=objective, iterations=evaluations, converged=converged)

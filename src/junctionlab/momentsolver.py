@@ -189,23 +189,22 @@ def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
     max(1e-30, 1e-12*|integral|) and differs from its integral of
     |f - mean| (an error equal to that is qk21's cap, not an estimate), or
     is 0. Otherwise the panel with the largest error is bisected until the
-    errors sum to within that tolerance of the sum, or 200 panels are
-    used. [a, inf) is integrated over t in (0, 1] with x = a + (1 - t)/t.
-    Only interior nodes are evaluated, never a or b.
+    errors sum to within that tolerance of the sum; if they do not once
+    200 panels are used, ArithmeticError names [a, b]. [a, inf) is
+    integrated over t in (0, 1] with x = a + (1 - t)/t. Only interior
+    nodes are evaluated, never a or b.
     """
     if b == math.inf:
-        origin = a
-
         def f(t):
-            return fn(origin + (1.0 - t) / t) / (t * t)
-        a, b = 0.0, 1.0
+            return fn(a + (1.0 - t) / t) / (t * t)
+        lo, hi = 0.0, 1.0
     else:
-        f = fn
-    r, err, resasc = _qk21(f, a, b)
+        f, lo, hi = fn, a, b
+    r, err, resasc = _qk21(f, lo, hi)
     if err <= max(_EPSABS, _EPSREL * abs(r)) and err != resasc or err == 0.0:
         return r
     area, errsum = r, err
-    heap = [(-err, a, b, r)]
+    heap = [(-err, lo, hi, r)]
     for _ in range(_PANELS - 1):
         neg_err, lo, hi, r = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -217,6 +216,9 @@ def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
         errsum += e1 + e2 + neg_err
         if errsum <= max(_EPSABS, _EPSREL * abs(area)):
             break
+    else:
+        raise ArithmeticError(f"integral over [{a:g}, {b:g}] not resolved in {_PANELS} "
+                              f"panels (error estimate {errsum:g})")
     return math.fsum(panel[3] for panel in heap)
 
 
@@ -347,7 +349,9 @@ def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
     charge narrow against [a, b] is not missed; adaptive quadrature to
     1e-10 relative (1e-12 requested internally). ``a`` must be finite and
     ``a <= b``; ``b`` may be inf only for a constant permittivity, and for
-    a HeteroStack must not pass the stack end.
+    a HeteroStack must not pass the stack end. A piece the quadrature does
+    not resolve raises ArithmeticError naming it, as does a moment that
+    diverges at inf (a charge that does not vanish at depth).
     """
     eps_of_x, breaks, _ = _domain(rho, eps, a, b)
     near = (a + rho.scale * k for k in _NEAR_SPLITS)

@@ -416,6 +416,8 @@ class TestExitCodes:
                                                     "positive, got 0 m"),
         (["--guess-n0", "1e303", "--guess-ld", "5"], "initial guess N0 must be finite and "
                                                      "positive, got inf m^-3"),
+        (["--guess-n0", "1e15", "--guess-ld", "5"], "initial guess N0 must exceed N_B = "
+                                                    "1e+21 m^-3, got 1e+21 m^-3"),
     ])
     def test_bad_guess_exit_64(self, flags, bad, tmp_path, capsys):
         (tmp_path / "five.csv").write_text(self.CURVES["five.csv"])

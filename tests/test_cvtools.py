@@ -199,8 +199,9 @@ def test_residuals_equal_per_point_solve(fit_vbi):
     # measured points past the forward edge (flat band), inside the window
     # and past the reverse edge, at and around both edges
     n0, l_d, n_b = 1e24, 1e-5, 1e21
-    theta = [math.log(n0), math.log(l_d)] + ([0.7] if fit_vbi else [])
-    profile = GaussianProfile(n0=math.exp(theta[0]), l_d=math.exp(theta[1]), n_b=n_b)
+    theta = [math.log(math.log(n0 / n_b)), math.log(l_d)] + ([0.7] if fit_vbi else [])
+    profile = GaussianProfile(n0=n_b * math.exp(math.exp(theta[0])), l_d=math.exp(theta[1]),
+                              n_b=n_b)
     spec = JunctionSpec(material=SI, profile=profile, v_bi=0.7 if fit_vbi else None)
     window = validity_window(spec)
     lo, hi = -window.v_max_forward, window.v_max_reverse
@@ -383,9 +384,10 @@ class TestFitWrongBackground:
     value the fit reached when this test was written, with a 1e-6
     relative margin.
 
-    At ``n_b`` = 1e24 m^-3, the true N0, the fit ends at 752.67 (V_bi
-    fixed) and 814.25 (fitted), an rms relative residual near 1 or above,
-    so that row is recorded here and not held.
+    At ``n_b`` = 1e24 m^-3, the true N0, the fit ends at 15.64 (V_bi
+    fixed) and 26.2 (fitted, where the solve uses up its 2000 evaluations
+    and reports not converged), an rms relative residual near 1, so that
+    row is recorded here and not held.
     """
 
     curve = sweep(WORKED, 0.0, 20.0, 21)
@@ -401,3 +403,35 @@ class TestFitWrongBackground:
     def test_objective_held(self, n_b, fit_vbi, objective):
         r = fit(self.curve, SI, 300.0, n_b, fit_vbi=fit_vbi)
         assert r.objective <= objective * (1.0 + 1e-6)
+
+
+class TestLevenbergMarquardt:
+    """cvtools._levenberg_marquardt on problems with a known answer."""
+
+    NO_BOUND = [-math.inf, -math.inf], [math.inf, math.inf]
+
+    def test_rosenbrock(self):
+        theta, _, evaluations, converged = cvtools._levenberg_marquardt(
+            lambda t: [10.0 * (t[1] - t[0] ** 2), 1.0 - t[0]], [-1.2, 1.0], *self.NO_BOUND)
+        assert converged
+        assert_allclose(theta, [1.0, 1.0], rtol=0, atol=1e-12)
+        assert evaluations <= 56
+
+    def test_minimum_outside_the_box_ends_on_the_bound(self):
+        theta, _, _, converged = cvtools._levenberg_marquardt(
+            lambda t: [t[0] - 3.0, t[1] - 1.0], [0.0, 0.0], self.NO_BOUND[0], [math.inf, 0.5])
+        assert converged
+        assert theta[1] == 0.5
+        assert abs(theta[0] - 3.0) <= 1e-6
+
+    def test_evaluation_limit(self):
+        # exp(-t) has no minimum: each step lowers the sum by a fixed share
+        calls = []
+
+        def fun(t):
+            calls.append(t)
+            return [math.exp(-t[0])]
+        _, _, evaluations, converged = cvtools._levenberg_marquardt(
+            fun, [1.0], [-math.inf], [math.inf])
+        assert not converged
+        assert evaluations == len(calls) == 2000

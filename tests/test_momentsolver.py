@@ -73,6 +73,12 @@ class TestMomentIntegral:
         rho = ChargeProfile(fn=lambda x: math.exp(-x * x), scale=1.0)
         assert_allclose(moment_integral(rho, 1.0, 0.0, math.inf), 0.5, rtol=1e-12)
 
+    def test_divergent_upper_limit_raises(self):
+        # |rho| tends to q*N_B at depth, so the moment to inf grows like x^2
+        rho = ChargeProfile.net_magnitude(WORKED_PROFILE)
+        with pytest.raises(ArithmeticError, match=r", inf\] not resolved in 200 panels"):
+            moment_integral(rho, SI.eps, WORKED.x_j, math.inf)
+
     @pytest.mark.parametrize("a, b", [(WORKED.x_j, math.inf), (0.0, math.inf),
                                       (WORKED.x_j, 1.0)],
                              ids=["xj-inf", "zero-inf", "xj-1m"])
@@ -167,11 +173,12 @@ class TestQuadratureRule:
         assert_allclose(momentsolver._quad(lambda x: x * math.exp(-x * x), 1.0, math.inf),
                         0.5 * math.exp(-1.0), rtol=1e-13)
 
-    def test_exhausted_panels_return_a_finite_sum(self):
+    def test_exhausted_panels_raise(self):
         # 1.6e8 periods of sin(1e9*x) on [0, 1]: no panel of 200 resolves
         # one, so every panel keeps an error near its width
         f, xs = _counted(lambda x: math.sin(1e9 * x))
-        assert math.isfinite(momentsolver._quad(f, 0.0, 1.0))
+        with pytest.raises(ArithmeticError, match=r"^integral over \[0, 1\] not resolved"):
+            momentsolver._quad(f, 0.0, 1.0)
         assert len(xs) == 21 * (2 * momentsolver._PANELS - 1)
 
     def test_worked_junction_rho_evaluations(self):
