@@ -392,10 +392,11 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
     are running integrals from x_j. A safeguarded Newton on x_right, with
     derivative rho(x_right)*[(x_right - x_j)/eps(x_right) - (x_left -
     x_j)/eps(x_left)], wraps one on x_left for neutrality, with derivative
-    rho(x_left), started from the nearest solved pair along
-    dx_left/dx_right = rho(x_right)/rho(x_left). ``moment_value`` is the
-    centred moment, which equals the moment of a neutral region of
-    constant permittivity. Raises SurfaceReachedError when neutrality
+    rho(x_left), started from the pair of the last evaluation along
+    dx_left/dx_right = rho(x_right)/rho(x_left), and before the first at
+    the mirror image 2*x_j - x_right. ``width`` is x_right - x_left, and
+    ``moment_value`` the centred moment, which equals the moment of a
+    neutral region of constant permittivity. Raises SurfaceReachedError when neutrality
     would push x_left below 0, StackExhaustedError when x_right would
     leave the stack, and UnreachablePotentialError with the supremum, the
     moment of the neutral region ending at the domain's end.
@@ -405,7 +406,7 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
         raise ValueError(f"x_j must be finite and positive, got {x_j}")
     charge = _running_integral(rho.fn, x_j, breaks)
     moment = _running_integral(_moment_integrand(rho, eps_of_x, x_j), x_j, breaks)
-    solved = {}  # x_right -> (x_left, rho(x_right), rho(x_left))
+    last = None  # (x_right, x_left, rho(x_right), rho(x_left)) of the last f_df
 
     def left_for(xr, q_r):
         # neutrality: charge(x_left) = charge(x_right); x_left stays at the
@@ -414,18 +415,17 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
         if h_surface * h_j >= 0.0:
             return 0.0
         guess = 2.0 * x_j - xr  # exact for a profile odd about x_j
-        if solved:
-            near = min(solved, key=lambda x: abs(x - xr))
-            xl, rho_r, rho_l = solved[near]
-            if rho_l:
-                guess = xl + (xr - near) * rho_r / rho_l
+        if last and last[3]:
+            xr_last, xl_last, rho_r, rho_l = last
+            guess = xl_last + (xr - xr_last) * rho_r / rho_l
         neg, pos = (0.0, x_j) if h_surface < 0.0 else (x_j, 0.0)
         return _newton_in_bracket(lambda x: (charge(x) - q_r, rho.fn(x)), neg, pos, guess)
 
     def f_df(xr):
+        nonlocal last
         xl = left_for(xr, charge(xr))
         rho_r, rho_l = rho.fn(xr), rho.fn(xl)
-        solved[xr] = (xl, rho_r, rho_l)
+        last = xr, xl, rho_r, rho_l
         c = moment(xr) - moment(xl)
         slope = (xr - x_j) / eps_of_x(xr)
         if xl > 0.0:
@@ -554,23 +554,21 @@ def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
         return [(x_left, 0.0, 0.0)] * n_samples
     near = (x_left + rho.scale * k for k in _NEAR_SPLITS)
     ends = [x_left, *sorted({p for p in (*breaks, *near) if x_left < p < x_right}), x_right]
-    pieces = []  # (a, b, E(a), u(a), E series, u series)
-    e_a = u_a = 0.0
+    out, e_a, u_a = [], 0.0, 0.0
     for a, b in zip(ends, ends[1:]):
         half = 0.5 * (b - a)
         c = _chebyshev_fit(lambda x: rho.fn(x) / eps_of_x(x), a, b)
         field = [half * v for v in _antiderivative(c)]
         potential = [-half * v for v in _antiderivative(field)]
-        pieces.append((a, b, e_a, u_a, field, potential))
+        # the samples up to b, and in the last piece every one left
+        while len(out) < n_samples:
+            x = x_left + (x_right - x_left) * len(out) / (n_samples - 1)
+            if x > b and b < x_right:
+                break
+            t = ((x - a) - (b - x)) / (b - a)
+            out.append((x, e_a + _clenshaw(field, t),
+                        u_a - e_a * (x - a) + _clenshaw(potential, t)))
         e_a, u_a = e_a + sum(field), u_a - e_a * (b - a) + sum(potential)
-    rights = ends[1:]
-    out = []
-    for i in range(n_samples):
-        x = x_left + (x_right - x_left) * i / (n_samples - 1)
-        a, b, e0, u0, field, potential = pieces[min(bisect.bisect_left(rights, x),
-                                                    len(pieces) - 1)]
-        t = ((x - a) - (b - x)) / (b - a)
-        out.append((x, e0 + _clenshaw(field, t), u0 - e0 * (x - a) + _clenshaw(potential, t)))
     return out
 
 
