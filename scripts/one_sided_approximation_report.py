@@ -38,7 +38,7 @@ def main():
         r = w_sc_general(spec, Bias(v_r, "reverse"))
         sol = solve_two_sided(ChargeProfile.net(profile), si.eps,
                               spec.x_j, r.total_potential)
-        w2 = sol.x_right - sol.x_left
+        w2 = sol.width
         print(f"{n0:9.1e} {n_b:9.1e} {l_d:8.1e} {v_r:6.1f} "
               f"{r.w_sc * 1e6:9.4f}um {w2 * 1e6:11.4f}um "
               f"{abs(w2 - r.w_sc) / r.w_sc:9.3g}")

@@ -25,7 +25,7 @@ def main():
 
     rho = ChargeProfile.paper(profile)
     sol = solve_one_sided(rho, si.eps, spec.x_j, r.total_potential)
-    w_num = sol.x_right - sol.x_left
+    w_num = sol.width
     print(f"\nmoment-solver oracle:")
     print(f"  W_SC = {w_num * 1e6:.6f} um "
           f"(rel dev {abs(w_num - r.w_sc) / r.w_sc:.2e})")

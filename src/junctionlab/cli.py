@@ -9,9 +9,10 @@ Library errors that reach ``main`` map to an exit code by class, most
 specific first: CurveFormatError, InsufficientDataError and
 UnfittableDataError -> 65 ("bad data"); PunchThroughError -> 2
 ("punch-through"); any other JunctionError -> 2 ("error"); any other
-ValueError -> 64 ("error"). A bad junction flag is a usage error (64)
-whatever it raises. `solve` prints the validity window of the regime it
-solves.
+ValueError -> 64 ("error"); ArithmeticError, an integral or series the
+oracle cannot resolve in double precision -> 2 ("error"). A bad
+junction flag is a usage error (64) whatever it raises. `solve` prints
+the validity window of the regime it solves.
 """
 
 import argparse
@@ -217,7 +218,7 @@ def cmd_oracle(args) -> int:
     else:
         rho = momentsolver.ChargeProfile.net_magnitude(spec.profile)
     sol = momentsolver.solve_one_sided(rho, spec.eps, spec.x_j, v_total)
-    w_numeric = sol.x_right - sol.x_left
+    w_numeric = sol.width
     dev = abs(w_numeric - result.w_sc)
     rel = dev / result.w_sc if result.w_sc > 0 else math.inf
     print(f"model: {args.model}")
@@ -231,7 +232,7 @@ def cmd_oracle(args) -> int:
         rho_net = momentsolver.ChargeProfile.net(spec.profile)
         two_sided = momentsolver.solve_two_sided(rho_net, spec.eps, spec.x_j, v_total)
         rho_emit, xl, xr = rho_net, two_sided.x_left, two_sided.x_right
-        w2 = xr - xl
+        w2 = two_sided.width
         print(f"two-sided net W_SC = {w2 / UM_TO_M:.9g} um "
               f"[{xl / UM_TO_M:.9g}, {xr / UM_TO_M:.9g}] um")
         print(f"two-sided vs closed-form deviation = "
@@ -313,6 +314,7 @@ _ERROR_EXITS = (
     (PunchThroughError, "punch-through", EXIT_PUNCH_THROUGH),
     (JunctionError, "error", EXIT_PUNCH_THROUGH),
     (ValueError, "error", EXIT_USAGE),
+    (ArithmeticError, "error", EXIT_PUNCH_THROUGH),
 )
 
 
@@ -324,7 +326,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except ValueError as e:
+    except (ValueError, ArithmeticError) as e:
         prefix, code = next((p, c) for cls, p, c in _ERROR_EXITS if isinstance(e, cls))
         line = getattr(e, "line", None)  # CurveFormatError knows its row
         where = f" (line {line})" if line is not None else ""

@@ -152,9 +152,11 @@ def validity_window(spec: JunctionSpec, regime: str | Regime = "general") -> Val
 
 def _junction_terms(spec: JunctionSpec, regime: Regime) -> tuple[float, float]:
     """(s_j, exp(-s_j^2)) with s_j = x_j/L_d, 0 in the deep regime; the log
-    argument is exp(-s_j^2) - u with u = V_total/potential_scale."""
+    argument is exp(-s_j^2) - u with u = V_total/potential_scale.
+    exp(-s_j^2) is 0.0 from s_j = 27.3 on, so s_j is bounded at 30 there,
+    where its square would leave the float range."""
     s_j = 0.0 if regime is Regime.DEEP else spec.x_j / spec.profile.l_d
-    return s_j, math.exp(-s_j ** 2)
+    return s_j, math.exp(-min(s_j, 30.0) ** 2)
 
 
 def log_argument(spec: JunctionSpec, v_total: float, regime: Regime = Regime.GENERAL) -> float:

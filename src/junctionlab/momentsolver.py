@@ -139,10 +139,12 @@ def _domain(rho: ChargeProfile, eps, lo: float,
     return eps_of_x, breaks, end
 
 
-def _moment_integrand(rho: ChargeProfile, eps_of_x,
-                      centre: float = 0.0) -> Callable[[float], float]:
-    """(x - centre)*rho(x)/eps(x), raising on a non-finite value."""
-    def integrand(x):
+def _moment_integrand(rho: ChargeProfile, eps_of_x, centre: float = 0.0,
+                      origin: float = 0.0) -> Callable[[float], float]:
+    """s -> (x - centre)*rho(x)/eps(x) at x = origin + s, raising on a
+    non-finite value."""
+    def integrand(s):
+        x = origin + s
         v = (x - centre) * rho.fn(x) / eps_of_x(x)
         if not math.isfinite(v):
             raise ArithmeticError(f"non-finite integrand at x = {x:g} m")
@@ -304,21 +306,23 @@ def _forward_probe(origin: float, x: float, fx: float, dfx: float, scale: float)
 
 
 def _solve_outward(f_df, supremum, origin: float, df_origin: float, scale: float,
-                   end: float, target: float) -> float:
+                   limit: float, end: float, target: float) -> float:
     """Root past origin of f = |moment| - target, with ``f_df(x)`` giving
     f and f', from f = -target with slope df_origin at origin: forward
-    probes up to ``end`` until f >= 0, then _newton_in_bracket. A stalled
-    f, or a probe 1e15 scales out, compares the target with
-    ``supremum()``, |moment| at the end."""
+    probes up to ``limit``, the domain's end in the unknown, until f >= 0,
+    then _newton_in_bracket. A probe at the limit that falls short raises
+    StackExhaustedError naming ``end``, the stack end in x. A stalled f,
+    or a probe 1e15 scales out, compares the target with ``supremum()``,
+    |moment| at the end."""
     if not 0.0 < target < math.inf:
         raise ValueError(f"target potential must be finite and positive, got {target}")
     lo, f_lo, df_lo = origin, -target, df_origin
     while True:
-        b = min(_forward_probe(origin, lo, f_lo, df_lo, scale), end)
+        b = min(_forward_probe(origin, lo, f_lo, df_lo, scale), limit)
         fb, dfb = f_df(b)
         if fb >= 0.0:
             break
-        if b == end:
+        if b == limit:
             raise StackExhaustedError(
                 f"SCR would extend past the stack end at {end:g} m "
                 f"(moment reaches only {fb + target:g} of {target:g} V)")
@@ -338,6 +342,9 @@ def _solve_outward(f_df, supremum, origin: float, df_origin: float, scale: float
 class ScrSolution:
     x_left: float
     x_right: float
+    # the SCR's width as solved: the one-sided solve's unknown, which keeps
+    # its digits where x_right - x_left would round to ulps of x_left
+    width: float
     moment_value: float           # magnitude of the moment integral, volts
 
 
@@ -359,9 +366,12 @@ def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
 
 
 def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> ScrSolution:
-    """Find x_right with |moment_integral(x_start, x_right)| = target.
+    """Find the width w with |moment_integral(x_start, x_start + w)| = target.
 
-    The derivative of the moment in x_right is x_right*rho/eps there, so
+    The unknown is w, the offset from x_start, so that a narrow SCR is not
+    resolved only to ulps of x_start (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 1.7): the moment is integrated over
+    s = x - x_start. Its derivative in w is x*rho/eps at x_start + w, so
     the bracket grows by forward Newton steps (doubling from scale/100
     where that derivative is 0) and a safeguarded Newton finds the root
     inside it; the moment is integrated only over each new increment.
@@ -372,15 +382,19 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     eps_of_x, breaks, end = _domain(rho, eps, x_start, x_start)
     if not x_start >= 0.0:
         raise ValueError(f"x_start = {x_start:g} m must not be negative")
-    integrand = _moment_integrand(rho, eps_of_x)
-    moment = _running_integral(integrand, x_start, breaks)
+    limit = end - x_start
+    if x_start + limit > end:  # no node may round past the stack end
+        limit = math.nextafter(limit, 0.0)
+    integrand = _moment_integrand(rho, eps_of_x, origin=x_start)
+    moment = _running_integral(integrand, 0.0, [p - x_start for p in breaks])
 
-    def f_df(b):
-        return abs(moment(b)) - target, abs(integrand(b))
+    def f_df(w):
+        return abs(moment(w)) - target, abs(integrand(w))
 
-    x_right = _solve_outward(f_df, lambda: abs(moment(end)), x_start,
-                             abs(integrand(x_start)), rho.scale, end, target)
-    return ScrSolution(x_left=x_start, x_right=x_right, moment_value=abs(moment(x_right)))
+    w = _solve_outward(f_df, lambda: abs(moment(limit)), 0.0, abs(integrand(0.0)),
+                       rho.scale, limit, end, target)
+    return ScrSolution(x_left=x_start, x_right=x_start + w, width=w,
+                       moment_value=abs(moment(w)))
 
 
 def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSolution:
@@ -434,14 +448,14 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
         return abs(c) - target, dc if c > 0.0 else -dc
 
     x_right = _solve_outward(f_df, lambda: abs(moment(end) - moment(left_for(end, charge(end)))),
-                             x_j, 0.0, rho.scale, end, target)
+                             x_j, 0.0, rho.scale, end, end, target)
     q_right = charge(x_right)
     if (charge(0.0) - q_right) * q_right < 0.0:
         raise SurfaceReachedError(
             f"SCR reaches the surface: right boundary {x_right:g} m needs more "
             f"compensating charge than exists above x_j")
     x_left = left_for(x_right, q_right)
-    return ScrSolution(x_left=x_left, x_right=x_right,
+    return ScrSolution(x_left=x_left, x_right=x_right, width=x_right - x_left,
                        moment_value=abs(moment(x_right) - moment(x_left)))
 
 

@@ -17,7 +17,8 @@ EPS0 = 8.8541878128e-12   # vacuum permittivity, F/m
 @dataclass(frozen=True)
 class Material:
     """A homogeneous semiconductor: relative permittivity and intrinsic
-    carrier concentration (m^-3) quoted at ``temp_ref`` kelvin."""
+    carrier concentration (m^-3) quoted at ``temp_ref`` kelvin. n_i^2 must
+    be a positive finite float, since the built-in potential divides by it."""
 
     name: str
     eps_r: float
@@ -29,6 +30,8 @@ class Material:
             raise ValueError(f"eps_r must be finite and exceed 1, got {self.eps_r}")
         if not 0.0 < self.n_i < math.inf:
             raise ValueError(f"n_i must be finite and positive, got {self.n_i}")
+        if not 0.0 < self.n_i * self.n_i < math.inf:
+            raise ValueError(f"n_i^2 must be a positive finite float, got n_i = {self.n_i:g}")
         if not 0.0 < self.temp_ref < math.inf:
             raise ValueError(f"temp_ref must be finite and positive, got {self.temp_ref}")
 

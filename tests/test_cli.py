@@ -171,7 +171,7 @@ ORACLE_PAPER = (
     "model: paper\n"
     "closed-form W_SC = 0.283896436 um\n"
     "numerical  W_SC = 0.283896436 um\n"
-    "deviation = 1.16467e-15 um (4.10245e-15 relative)\n"
+    "deviation = 0 um (0 relative)\n"
 )
 ORACLE_NET = (
     "model: net\n"
@@ -203,6 +203,16 @@ class TestOracleCmd:
     def test_net_model_diagnostic_exit_0(self, capsys):
         code, out, _ = run(["oracle", *WORKED, "--bias", "10", "--model", "net"], capsys)
         assert code == 0
+
+    def test_narrow_scr_near_flat_band(self, capsys):
+        # 23 uV short of flat band W is 4.9 fm against x_j = 303 um, so
+        # x_right - x_left would be a few hundred ulps of x_j: the oracle
+        # solves for W itself and agrees with the closed form
+        code, out, _ = run(["oracle", "--n0", "1e20", "--nb", "1e16", "--ld", "100",
+                            "--bias", "-0.9524"], capsys)
+        assert code == 0
+        deviation = out.splitlines()[-1]
+        assert float(deviation.split("(")[1].split()[0]) <= 1e-12, deviation
 
     def test_two_sided_emit_profile(self, tmp_path, capsys):
         prof = tmp_path / "prof.csv"
@@ -385,6 +395,9 @@ class TestExitCodes:
          "error: background N_B must be finite and positive"),        # ValueError
         (["fit", "--data", "{tmp}/deep.json", "--nb", "1e15"], 65,
          "bad data: invalid JSON: "),                                 # CurveFormatError
+        (["oracle", "--n0", "1e18", "--nb", "1e15", "--ld", "1e12", "--bias", "1",
+          "--two-sided"], 2, "error: integral over [2.62826e+06, 2.62826e+06] not "
+         "resolved in 200 panels"),                                   # ArithmeticError
     ])
     def test_error_table(self, argv, code, prefix, tmp_path, capsys):
         for name, text in self.CURVES.items():
@@ -393,6 +406,45 @@ class TestExitCodes:
         assert got == code
         assert err.startswith(prefix)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--bias", "1"],
+        ["solve", "--bias", "1", "--regime", "shallow"],
+        ["sweep", "--vstart", "0", "--vstop", "1", "--steps", "3", "--out", "{tmp}/x.csv"],
+        ["sweep", "--vstart", "0", "--vstop", "1", "--steps", "3", "--out", "{tmp}/x.csv",
+         "--regime", "shallow"],
+        ["oracle", "--bias", "1"],
+        ["oracle", "--bias", "1", "--regime", "shallow"],
+    ])
+    def test_junction_square_past_the_float_range_exit_2(self, argv, tmp_path, capsys):
+        # x_j/L_d = 1e299, whose square overflows; exp(-(x_j/L_d)^2) is
+        # 0.0 from x_j/L_d = 27.3 on, so no potential is supportable
+        code, out, err = run([argv[0], *WORKED, "--xj", "1e300",
+                              *(a.format(tmp=tmp_path) for a in argv[1:])], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("punch-through: ")
+        assert err.endswith("junction invalid even unbiased: supportable potential "
+                            "0 V <= v_bi = 0.773844 V\n")
+
+    def test_junction_square_past_the_float_range_deep_exit_0(self, capsys):
+        # the deep regime takes exp(-(x_j/L_d)^2) as unity
+        code, out, _ = run(["solve", *WORKED, "--xj", "1e300", "--bias", "1",
+                            "--regime", "deep"], capsys)
+        assert code == 0
+        assert "W_SC = 0.0478947 um" in out
+
+    @pytest.mark.parametrize("row", ["Big,11.7,1e300,300", "Tiny,11.7,1e-300,300"])
+    def test_material_n_i_square_past_the_float_range_exit_65(self, row, tmp_path, capsys,
+                                                               monkeypatch):
+        f = tmp_path / "mats.csv"
+        f.write_text("name,eps_r,n_i_cm3,temp_K\n" + row + "\n")
+        monkeypatch.setenv("JUNCTIONLAB_MATERIALS", str(f))
+        code, out, err = run(["solve", *WORKED, "--bias", "1",
+                              "--material", row.split(",")[0]], capsys)
+        assert code == 65
+        assert out == ""
+        assert err.startswith(f"error: {f}:2: n_i^2 must be a positive finite float")
 
     @pytest.mark.parametrize("flags, missing", [
         (["--guess-n0", "2e18"], "--guess-ld"),

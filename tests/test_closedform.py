@@ -404,3 +404,20 @@ def test_cv_points_takes_any_iterable_and_rejects_unknown_regime():
     assert cv_points(WORKED, []) == []
     with pytest.raises(ValueError, match="auto"):
         cv_points(WORKED, [1.0], "auto")
+
+
+@pytest.mark.parametrize("regime", ["general", "shallow"])
+def test_junction_deeper_than_the_float_range_of_its_square(regime):
+    # s_j = 1e299: (x_j/L_d)^2 is past the float range, and exp(-s_j^2) is
+    # 0.0 already from s_j = 27.3, so no potential is supportable
+    spec = JunctionSpec(material=SI, profile=WORKED.profile, x_j=1e294)
+    with pytest.raises(EquilibriumInvalidError, match="supportable potential 0 V") as exc:
+        validity_window(spec, regime)
+    assert exc.value.v_max_reverse == -spec.v_bi
+    assert log_argument(spec, 1.0, Regime(regime)) == -1.0 / spec.potential_scale
+    with pytest.raises(EquilibriumInvalidError):
+        solve(spec, Bias(1.0, "reverse"), regime)
+    with pytest.raises(EquilibriumInvalidError, match="^bias 1 V outside validity window"):
+        cv_points(spec, [1.0], regime)
+    # the deep regime takes exp(-s_j^2) as unity and keeps solving
+    assert solve(spec, Bias(1.0, "reverse"), "deep").w_sc > 0.0

@@ -215,7 +215,18 @@ class TestSolveOneSided:
         rho = ChargeProfile.paper(WORKED_PROFILE)
         r = w_sc_general(WORKED, Bias(10.0, "reverse"))
         sol = solve_one_sided(rho, SI.eps, WORKED.x_j, r.total_potential)
-        assert_allclose(sol.x_right - sol.x_left, r.w_sc, rtol=1e-6)
+        assert_allclose(sol.width, r.w_sc, rtol=1e-12)
+
+    def test_narrow_scr_width_keeps_its_digits(self):
+        # 23 uV short of flat band the SCR is 4.9 fm wide at x_j = 303 um,
+        # a few hundred ulps of x_j: the solve's unknown is the width
+        profile = GaussianProfile(n0=1e26, l_d=1e-4, n_b=1e22)
+        spec = JunctionSpec(material=SI, profile=profile)
+        r = w_sc_general(spec, Bias(0.9524, "forward"))
+        assert r.w_sc < 1e-14
+        sol = solve_one_sided(ChargeProfile.paper(profile), SI.eps, spec.x_j, r.total_potential)
+        assert_allclose(sol.width, r.w_sc, rtol=1e-12)
+        assert (sol.x_left, sol.x_right) == (spec.x_j, spec.x_j + sol.width)
 
     def test_unreachable_supremum_matches_window(self):
         # the supremum's tail ends at the domain's end: infinity, or the
@@ -469,6 +480,25 @@ class TestSolveHetero:
         with pytest.raises(StackExhaustedError):
             solve_hetero(stack, rho, 0.0, 10.0)
 
+    def test_stack_exhausted_names_the_stack_end(self):
+        # the solve works in offsets from x_start; the error names the
+        # stack end in x
+        with pytest.raises(StackExhaustedError) as exc:
+            solve_hetero(HeteroStack(layers=((SI, 2.64e-5),)), ChargeProfile.paper(WORKED_PROFILE),
+                         WORKED.x_j, WORKED.v_bi + 10.0)
+        assert str(exc.value) == ("SCR would extend past the stack end at 2.64e-05 m "
+                                  "(moment reaches only 4.63755 of 10.7738 V)")
+
+    def test_stack_exhausted_where_the_offset_to_the_end_rounds_past_it(self):
+        # the start plus the rounded offset to the stack end lies past the
+        # end, where no probe may evaluate the permittivity
+        start, end = 2.6e-7, 9.14e-7
+        assert start + (end - start) > end
+        with pytest.raises(StackExhaustedError) as exc:
+            solve_hetero(HeteroStack(layers=((SI, end),)), _STEP, start, 10.0)
+        assert str(exc.value) == ("SCR would extend past the stack end at 9.14e-07 m "
+                                  "(moment reaches only 0.593734 of 10 V)")
+
     def test_stack_validation(self):
         with pytest.raises(ValueError):
             HeteroStack(layers=())
@@ -484,7 +514,7 @@ def test_oracle_agreement_on_bias_grid():
         v_r = window.v_max_reverse * 0.95 * i / 9.0
         r = w_sc_general(WORKED, Bias(v_r, "reverse"))
         sol = solve_one_sided(rho, SI.eps, WORKED.x_j, r.total_potential)
-        assert_allclose(sol.x_right - sol.x_left, r.w_sc, rtol=1e-6)
+        assert_allclose(sol.width, r.w_sc, rtol=1e-12)
 
 
 def charge(profile, x):

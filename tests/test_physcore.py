@@ -43,6 +43,18 @@ def test_material_invariants_enforced():
         Material("bad", 11.7, 1e16, 0.0)
 
 
+@pytest.mark.parametrize("n_i", [1e306, 1e155, 1e-294, 1e-163])
+def test_material_rejects_n_i_whose_square_leaves_the_float_range(n_i):
+    # V_bi divides by n_i^2, which overflows to inf or underflows to 0.0
+    with pytest.raises(ValueError, match=r"^n_i\^2 must be a positive finite float, got n_i = "):
+        Material("bad", 11.7, n_i, 300.0)
+
+
+@pytest.mark.parametrize("n_i", [1e154, 1e-161])
+def test_material_accepts_n_i_whose_square_is_a_float(n_i):
+    assert Material("edge", 11.7, n_i, 300.0).n_i == n_i
+
+
 def test_thermal_voltage_room_temperature():
     assert_allclose(thermal_voltage(300.0), 0.0258520, atol=1e-6)
 
