@@ -58,7 +58,8 @@ class InsufficientDataError(JunctionError):
 
 
 class UnfittableDataError(JunctionError):
-    """No fit start produced a finite objective anywhere."""
+    """The fit found no valid model anywhere it searched: its objective
+    ended at the penalty level of points outside every window (>= 1e12)."""
 
 
 class CurveFormatError(JunctionError):

@@ -286,6 +286,16 @@ class TestFitRecovery:
         curve = sweep(spec, -0.4, 52.0, 31)
         assert_recovered(fit(curve, SI, 300.0, 1.1e21, fit_vbi=True), spec)
 
+    @pytest.mark.parametrize("vbi", [5.0, 0.0, -3.0])
+    def test_guessed_vbi_outside_the_bounds_starts_on_them(self, vbi):
+        # the stall junction from a guess whose V_bi lies outside [0.05, 2] V:
+        # the guess is moved into the box, and the fit still recovers it
+        spec = JunctionSpec(material=SI,
+                            profile=GaussianProfile(n0=3.8e24, l_d=8.3e-6, n_b=1.1e21))
+        curve = sweep(spec, -0.4, 52.0, 31)
+        assert_recovered(fit(curve, SI, 300.0, 1.1e21, fit_vbi=True,
+                             initial_guess=(1e25, 5e-6, vbi)), spec)
+
     def test_criterion_10_junction_51_points_fixed_vbi(self):
         curve = sweep(TestFit.truth, -0.4, 1.2, 51)
         assert_recovered(fit(curve, SI, 300.0, 5e20, fit_vbi=False), TestFit.truth)
@@ -399,6 +409,7 @@ class TestFitWrongBackground:
         (1e19, True, 1.0295353387842995e-07),
         (1e20, True, 8.701487380403036e-08),
         (1e22, True, 3.658046632226245e-05),
+        (1e20, False, 0.016317699798144215),  # stops on a decrease within 1e-15 of it
     ])
     def test_objective_held(self, n_b, fit_vbi, objective):
         r = fit(self.curve, SI, 300.0, n_b, fit_vbi=fit_vbi)
@@ -435,3 +446,41 @@ class TestLevenbergMarquardt:
             fun, [1.0], [-math.inf], [math.inf])
         assert not converged
         assert evaluations == len(calls) == 2000
+
+    def test_evaluation_limit_inside_a_jacobian(self):
+        # two unknowns and every step accepted: a step costs two Jacobian
+        # columns and a trial, so the 2000th evaluation is the first column
+        # of a Jacobian, and the limit stops the solve before the second
+        calls = []
+
+        def fun(t):
+            calls.append(list(t))
+            return [math.exp(-t[0]), math.exp(-t[1])]
+        _, _, evaluations, converged = cvtools._levenberg_marquardt(
+            fun, [1.0, 1.0], *self.NO_BOUND)
+        assert not converged
+        assert evaluations == len(calls) == 2000
+        accepted, column = calls[-2], calls[-1]
+        assert column[0] != accepted[0] and column[1] == accepted[1]
+
+    @pytest.mark.parametrize("a", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
+                             ids=["indefinite", "singular"])
+    def test_cholesky_rejects_a_matrix_not_positive_definite(self, a):
+        assert cvtools._cholesky_solve(a, [1.0, 1.0]) is None
+        assert cvtools._cholesky_solve([[4.0, 2.0], [2.0, 3.0]], [2.0, 1.0]) == [0.5, 0.0]
+
+    def test_failed_cholesky_retries_with_more_damping(self, monkeypatch):
+        # no natural problem was found whose damped normal equations fail
+        # the factorisation, so the first one is made to fail
+        real = cvtools._cholesky_solve
+        diagonals = []
+
+        def fail_once(a, b):
+            diagonals.append([a[i][i] for i in range(len(a))])
+            return None if len(diagonals) == 1 else real(a, b)
+        monkeypatch.setattr(cvtools, "_cholesky_solve", fail_once)
+        theta, _, _, converged = cvtools._levenberg_marquardt(
+            lambda t: [10.0 * (t[1] - t[0] ** 2), 1.0 - t[0]], [-1.2, 1.0], *self.NO_BOUND)
+        assert converged
+        assert_allclose(theta, [1.0, 1.0], rtol=0, atol=1e-12)
+        assert all(d1 > d0 for d0, d1 in zip(*diagonals[:2]))
