@@ -59,7 +59,7 @@ class InsufficientDataError(JunctionError):
 
 class UnfittableDataError(JunctionError):
     """The fit found no valid model anywhere it searched: its objective
-    ended at the penalty level of points outside every window (>= 1e12)."""
+    ended at 1e12 or more, the penalty of a trial point with no junction."""
 
 
 class CurveFormatError(JunctionError):

@@ -410,10 +410,10 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
     dx_left/dx_right = rho(x_right)/rho(x_left), and before the first at
     the mirror image 2*x_j - x_right. ``width`` is x_right - x_left, and
     ``moment_value`` the centred moment, which equals the moment of a
-    neutral region of constant permittivity. Raises SurfaceReachedError when neutrality
-    would push x_left below 0, StackExhaustedError when x_right would
-    leave the stack, and UnreachablePotentialError with the supremum, the
-    moment of the neutral region ending at the domain's end.
+    neutral region of constant permittivity. Raises SurfaceReachedError
+    when neutrality would push x_left below 0, StackExhaustedError when
+    x_right would leave the stack, and UnreachablePotentialError with the
+    supremum, the moment of the neutral region ending at the domain's end.
     """
     eps_of_x, breaks, end = _domain(rho, eps, x_j, x_j)
     if not x_j > 0.0:
