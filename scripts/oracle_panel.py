@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Print a hashed panel of the Gauss's-law oracle's solves.
+
+For five junctions and five target potentials each, it runs three solves:
+the one-sided paper-model solve from x_j, the one-sided net-magnitude
+solve from x_j, and the two-sided net-charge solve with a 201-sample
+field reconstruction. Each solve prints one line: the float.hex of every
+ScrSolution field, the charge-density evaluations, and for the two-sided
+solve a sha256 prefix of the samples and the reconstruction's
+evaluations. A solve that raises prints the exception's class and
+message instead. The last line is a sha256 over all lines before it.
+
+Takes no flags. Two versions of the oracle agree bit for bit where their
+panels do; compare two runs with diff.
+"""
+
+import dataclasses
+import hashlib
+
+from junctionlab import (ChargeProfile, GaussianProfile, JunctionSpec,
+                         ScrSolution, get_material, reconstruct_field_potential,
+                         solve_one_sided, solve_two_sided)
+
+JUNCTIONS = [
+    # (N0 m^-3, L_d m, N_B m^-3): the worked junction, three across the
+    # acceptance ranges, and one whose N0/N_B is 1.0000001
+    (1e24, 1e-5, 1e21),
+    (1e26, 1e-7, 1e20),
+    (5e23, 3e-7, 2.5e23),
+    (1e25, 3e-6, 1e22),
+    (1.0000001e21, 1e-5, 1e21),
+]
+SAMPLES = 201
+
+
+def _counted(rho: ChargeProfile) -> tuple:
+    """rho with an evaluation counter, and the counter (a list of one int)."""
+    count = [0]
+
+    def fn(x):
+        count[0] += 1
+        return rho.fn(x)
+    return dataclasses.replace(rho, fn=fn), count
+
+
+def _fields(sol: ScrSolution) -> str:
+    return " ".join(f"{f.name}={getattr(sol, f.name).hex()}"
+                    for f in dataclasses.fields(ScrSolution))
+
+
+def _one_sided(rho: ChargeProfile, spec: JunctionSpec, target: float) -> str:
+    rho, count = _counted(rho)
+    sol = solve_one_sided(rho, spec.eps, spec.x_j, target)
+    return f"{_fields(sol)} rho={count[0]}"
+
+
+def _two_sided(profile: GaussianProfile, spec: JunctionSpec, target: float) -> str:
+    rho, count = _counted(ChargeProfile.net(profile))
+    sol = solve_two_sided(rho, spec.eps, spec.x_j, target)
+    solve_count = count[0]
+    samples = reconstruct_field_potential(rho, spec.eps, sol.x_left, sol.x_right, SAMPLES)
+    digest = hashlib.sha256("".join(f"{x.hex()},{e.hex()},{u.hex()}\n"
+                                    for x, e, u in samples).encode()).hexdigest()
+    return (f"{_fields(sol)} rho={solve_count} samples={digest[:16]} "
+            f"rho_samples={count[0] - solve_count}")
+
+
+def main():
+    si = get_material("Si")
+    lines = []
+    for n0, l_d, n_b in JUNCTIONS:
+        profile = GaussianProfile(n0=n0, l_d=l_d, n_b=n_b)
+        spec = JunctionSpec(material=si, profile=profile)
+        targets = [("1e-9", 1e-9), ("1e-6", 1e-6), ("0.5", 0.5), ("V_bi", spec.v_bi),
+                   ("V_bi+10", spec.v_bi + 10.0)]
+        solves = [("one-sided paper", lambda t: _one_sided(ChargeProfile.paper(profile),
+                                                           spec, t)),
+                  ("one-sided net_magnitude",
+                   lambda t: _one_sided(ChargeProfile.net_magnitude(profile), spec, t)),
+                  ("two-sided net", lambda t: _two_sided(profile, spec, t))]
+        for label, target in targets:
+            for name, solve in solves:
+                try:
+                    result = solve(target)
+                except Exception as e:  # the panel records every outcome
+                    result = f"{type(e).__name__}: {e}"
+                line = f"{n0!r} {l_d!r} {n_b!r} {label}={target.hex()} {name}: {result}"
+                lines.append(line)
+                print(line)
+    print("sha256", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+
+
+if __name__ == "__main__":
+    main()

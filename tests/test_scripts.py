@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["worked_example.py", "one_sided_approximation_report.py"])
+@pytest.mark.parametrize("script", ["worked_example.py", "one_sided_approximation_report.py",
+                                    "oracle_panel.py"])
 def test_script_exits_0(script):
     env = dict(os.environ,
                PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
