@@ -22,7 +22,7 @@ import sys
 
 from . import closedform, cvtools, momentsolver
 from .closedform import Bias, JunctionSpec
-from .doping import DiffusionRecipe, GaussianProfile, diffusion_length
+from .doping import ChargeProfile, DiffusionRecipe, GaussianProfile, diffusion_length
 from .errors import (CurveFormatError, InsufficientDataError, JunctionError,
                      PunchThroughError, UnfittableDataError)
 from .physcore import Material, builtin_materials
@@ -214,9 +214,9 @@ def cmd_oracle(args) -> int:
     result = closedform.solve(spec, Bias.from_signed(args.bias), args.regime)
     v_total = result.total_potential
     if args.model == "paper":
-        rho = momentsolver.ChargeProfile.paper(spec.profile)
+        rho = ChargeProfile.paper(spec.profile)
     else:
-        rho = momentsolver.ChargeProfile.net_magnitude(spec.profile)
+        rho = ChargeProfile.net_magnitude(spec.profile)
     sol = momentsolver.solve_one_sided(rho, spec.eps, spec.x_j, v_total)
     w_numeric = sol.width
     dev = abs(w_numeric - result.w_sc)
@@ -229,7 +229,7 @@ def cmd_oracle(args) -> int:
     # the emitted profile is that of the last solve
     rho_emit, xl, xr = rho, sol.x_left, sol.x_right
     if args.two_sided:
-        rho_net = momentsolver.ChargeProfile.net(spec.profile)
+        rho_net = ChargeProfile.net(spec.profile)
         two_sided = momentsolver.solve_two_sided(rho_net, spec.eps, spec.x_j, v_total)
         rho_emit, xl, xr = rho_net, two_sided.x_left, two_sided.x_right
         w2 = two_sided.width

@@ -1,13 +1,17 @@
-"""Gaussian doping profile, diffusion length, and space charge density.
+"""Gaussian doping profile, diffusion length, and the charge models.
 
 The profile is N(x) = N0 * exp(-x^2 / L_d^2) measured from the surface
 inward (x >= 0), on top of a uniform background concentration N_B of the
 opposite type. The metallurgical junction sits where the two cross.
+The charge models live here too: a ``ChargeProfile`` binds its model,
+charge and polarity's sign into one closure when it is built, and
+``doping_at`` and ``charge_density`` evaluate those same closures.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .errors import NoJunctionError
 from .physcore import Q
@@ -64,11 +68,19 @@ def diffusion_length(recipe: DiffusionRecipe) -> float:
     return l_d
 
 
+def _gaussian(profile: GaussianProfile, q: float, n_b: float) -> Callable[[float], float]:
+    """x -> q*(N0*exp(-x^2/L_d^2) - n_b) at depth x >= 0; ValueError at x < 0."""
+    n0, l_d = profile.n0, profile.l_d
+    def fn(x):
+        if x < 0.0:
+            raise ValueError(f"profile is defined from the surface inward; x = {x} < 0")
+        return q * (n0 * math.exp(-(x / l_d) ** 2) - n_b)
+    return fn
+
+
 def doping_at(profile: GaussianProfile, x: float) -> float:
     """Diffused dopant concentration at depth x >= 0, m^-3."""
-    if x < 0.0:
-        raise ValueError(f"profile is defined from the surface inward; x = {x} < 0")
-    return profile.n0 * math.exp(-(x / profile.l_d) ** 2)
+    return _gaussian(profile, 1.0, 0.0)(x)
 
 
 def junction_depth(profile: GaussianProfile) -> float:
@@ -76,20 +88,56 @@ def junction_depth(profile: GaussianProfile) -> float:
     return profile.l_d * math.sqrt(math.log(profile.n0 / profile.n_b))
 
 
+@dataclass(frozen=True)
+class ChargeProfile:
+    """Evaluatable charge density x (m) -> rho (C/m^3). ``steps`` lists
+    every point where rho or its slope jumps; between them rho must be
+    smooth, or reconstruct_field_potential raises ArithmeticError.
+    ``scale`` is a characteristic length: it seeds the bracketing searches
+    and places the near splits of moment_integral and
+    reconstruct_field_potential."""
+
+    fn: Callable[[float], float]
+    steps: tuple = ()
+    scale: float = 1e-6
+
+    def __post_init__(self):
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
+
+    @classmethod
+    def paper(cls, profile: GaussianProfile) -> "ChargeProfile":
+        """Bare Gaussian q*N0*exp(-x^2/L_d^2), the closed forms' integrand."""
+        return cls(fn=_gaussian(profile, Q, 0.0), scale=profile.l_d)
+
+    @classmethod
+    def net(cls, profile: GaussianProfile) -> "ChargeProfile":
+        """Signed net charge q*(N(x) - N_B), negated for an acceptor diffused
+        into n; changes sign once, at the metallurgical junction."""
+        sign = 1.0 if profile.polarity is Polarity.DONOR_INTO_P else -1.0
+        return cls(fn=_gaussian(profile, sign * Q, profile.n_b), scale=profile.l_d)
+
+    @classmethod
+    def net_magnitude(cls, profile: GaussianProfile) -> "ChargeProfile":
+        """|net| charge, for one-sided solves on the substrate side."""
+        net = cls.net(profile).fn
+        return cls(fn=lambda x: abs(net(x)), steps=(junction_depth(profile),),
+                   scale=profile.l_d)
+
+    @classmethod
+    def step(cls, value: float, scale: float = 1e-6) -> "ChargeProfile":
+        """Constant charge density from the surface inward, zero at x < 0."""
+        return cls(fn=lambda x: value if x >= 0.0 else 0.0, steps=(0.0,), scale=scale)
+
+
 def charge_density(profile: GaussianProfile, x: float, model: str = "paper") -> float:
-    """Space charge density at depth x, C/m^3.
+    """Space charge density at depth x, C/m^3: the model's ChargeProfile.
 
     model="paper": the bare Gaussian q*N0*exp(-x^2/L_d^2), the integrand
     the closed forms assume (no background subtraction).
     model="net": q*(N(x) - N_B) with the sign set by polarity; changes
     sign exactly once, at the metallurgical junction.
     """
-    if x < 0.0:
-        raise ValueError(f"profile is defined from the surface inward; x = {x} < 0")
-    gauss = profile.n0 * math.exp(-(x / profile.l_d) ** 2)
-    if model == "paper":
-        return Q * gauss
-    if model == "net":
-        sign = 1.0 if profile.polarity is Polarity.DONOR_INTO_P else -1.0
-        return sign * Q * (gauss - profile.n_b)
-    raise ValueError(f"unknown charge model {model!r}; expected 'paper' or 'net'")
+    if model not in ("paper", "net"):
+        raise ValueError(f"unknown charge model {model!r}; expected 'paper' or 'net'")
+    return getattr(ChargeProfile, model)(profile).fn(x)

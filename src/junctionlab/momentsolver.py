@@ -4,7 +4,8 @@ Everything here rests on the moment identity: integrating x*rho(x)/eps(x)
 over the space charge region equals the total potential across it (the
 boundary term x*E vanishes because the field is zero at both SCR ends).
 The closed forms elsewhere in the package are verified against this
-solver, never the other way around.
+solver, never the other way around. It holds only the numerics: the
+charge it integrates is a ChargeProfile, whose models live in doping.
 
 Sign convention: solvers work with the magnitude of the moment; targets
 are positive total potentials. The physical net-charge moment is negative
@@ -22,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .doping import GaussianProfile, charge_density, junction_depth
+from .doping import ChargeProfile
 from .errors import (StackExhaustedError, SurfaceReachedError,
                      UnreachablePotentialError)
 
@@ -56,45 +57,6 @@ _CHEBYSHEV_SIZES = (17, 33, 65, 129)
 # reconstruct_field_potential split it too, so that a charge narrow against
 # the interval is not missed between the nodes of one piece
 _NEAR_SPLITS = (1, 3, 10, 30, 100)
-
-
-@dataclass(frozen=True)
-class ChargeProfile:
-    """Evaluatable charge density x (m) -> rho (C/m^3). ``steps`` lists
-    every point where rho or its slope jumps; between them rho must be
-    smooth, or reconstruct_field_potential raises ArithmeticError.
-    ``scale`` is a characteristic length: it seeds the bracketing searches
-    and places the near splits of moment_integral and
-    reconstruct_field_potential."""
-
-    fn: Callable[[float], float]
-    steps: tuple = ()
-    scale: float = 1e-6
-
-    def __post_init__(self):
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError(f"scale must be finite and positive, got {self.scale}")
-
-    @classmethod
-    def paper(cls, profile: GaussianProfile) -> "ChargeProfile":
-        """Bare Gaussian q*N0*exp(-x^2/L_d^2), the closed forms' integrand."""
-        return cls(fn=lambda x: charge_density(profile, x, "paper"), scale=profile.l_d)
-
-    @classmethod
-    def net(cls, profile: GaussianProfile) -> "ChargeProfile":
-        """Signed net charge q*(N(x) - N_B); changes sign at x_j."""
-        return cls(fn=lambda x: charge_density(profile, x, "net"), scale=profile.l_d)
-
-    @classmethod
-    def net_magnitude(cls, profile: GaussianProfile) -> "ChargeProfile":
-        """|net| charge, for one-sided solves on the substrate side."""
-        return cls(fn=lambda x: abs(charge_density(profile, x, "net")),
-                   steps=(junction_depth(profile),), scale=profile.l_d)
-
-    @classmethod
-    def step(cls, value: float, scale: float = 1e-6) -> "ChargeProfile":
-        """Constant charge density from the surface inward, zero at x < 0."""
-        return cls(fn=lambda x: value if x >= 0.0 else 0.0, steps=(0.0,), scale=scale)
 
 
 @dataclass(frozen=True)
