@@ -68,19 +68,36 @@ def diffusion_length(recipe: DiffusionRecipe) -> float:
     return l_d
 
 
-def _gaussian(profile: GaussianProfile, q: float, n_b: float) -> Callable[[float], float]:
-    """x -> q*(N0*exp(-x^2/L_d^2) - n_b) at depth x >= 0; ValueError at x < 0."""
+def _before_surface(x: float) -> ValueError:
+    return ValueError(f"profile is defined from the surface inward; x = {x} < 0")
+
+
+def _gaussian(profile: GaussianProfile, q: float) -> Callable[[float], float]:
+    """x -> q*N0*exp(-x^2/L_d^2) at depth x >= 0; ValueError at x < 0."""
     n0, l_d = profile.n0, profile.l_d
     def fn(x):
         if x < 0.0:
-            raise ValueError(f"profile is defined from the surface inward; x = {x} < 0")
-        return q * (n0 * math.exp(-(x / l_d) ** 2) - n_b)
+            raise _before_surface(x)
+        return q * (n0 * math.exp(-(x / l_d) ** 2))
+    return fn
+
+
+def _net(profile: GaussianProfile, q: float) -> Callable[[float], float]:
+    """x -> q*(N0*exp(-x^2/L_d^2) - N_B) at depth x >= 0, computed as
+    q*N_B*expm1((x_j - x)*(x_j + x)/L_d^2) with x_j = junction_depth, so
+    that it does not cancel near x_j, where x_j - x is exact (Sterbenz);
+    ValueError at x < 0."""
+    qn_b, l_d, x_j = q * profile.n_b, profile.l_d, junction_depth(profile)
+    def fn(x):
+        if x < 0.0:
+            raise _before_surface(x)
+        return qn_b * math.expm1((x_j - x) / l_d * ((x_j + x) / l_d))
     return fn
 
 
 def doping_at(profile: GaussianProfile, x: float) -> float:
     """Diffused dopant concentration at depth x >= 0, m^-3."""
-    return _gaussian(profile, 1.0, 0.0)(x)
+    return _gaussian(profile, 1.0)(x)
 
 
 def junction_depth(profile: GaussianProfile) -> float:
@@ -108,14 +125,17 @@ class ChargeProfile:
     @classmethod
     def paper(cls, profile: GaussianProfile) -> "ChargeProfile":
         """Bare Gaussian q*N0*exp(-x^2/L_d^2), the closed forms' integrand."""
-        return cls(fn=_gaussian(profile, Q, 0.0), scale=profile.l_d)
+        return cls(fn=_gaussian(profile, Q), scale=profile.l_d)
 
     @classmethod
     def net(cls, profile: GaussianProfile) -> "ChargeProfile":
         """Signed net charge q*(N(x) - N_B), negated for an acceptor diffused
-        into n; changes sign once, at the metallurgical junction."""
+        into n. It is computed as q*N_B*expm1((x_j - x)*(x_j + x)/L_d^2),
+        which does not cancel near x_j. It changes sign exactly at the
+        float x_j = junction_depth(profile) that the solvers use, which
+        may lie an ulp or so of x_j from the profile's own zero."""
         sign = 1.0 if profile.polarity is Polarity.DONOR_INTO_P else -1.0
-        return cls(fn=_gaussian(profile, sign * Q, profile.n_b), scale=profile.l_d)
+        return cls(fn=_net(profile, sign * Q), scale=profile.l_d)
 
     @classmethod
     def net_magnitude(cls, profile: GaussianProfile) -> "ChargeProfile":

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import junctionlab.cli as cli
+from junctionlab import (Bias, GaussianProfile, JunctionSpec, Q, get_material,
+                         total_potential)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -213,6 +216,31 @@ class TestOracleCmd:
         assert code == 0
         deviation = out.splitlines()[-1]
         assert float(deviation.split("(")[1].split()[0]) <= 1e-12, deviation
+
+    def test_two_sided_reaches_the_surface_near_unit_ratio(self, capsys):
+        # N0/N_B = 1.0000001: x_j is 3.2 nm and the diffused side holds
+        # ~3e-14 C/m^2, where a 1.6 V region needs ~2e-4 C/m^2
+        code, _, err = run(["oracle", "--n0", "1.0000001e15", "--nb", "1e15", "--ld", "10",
+                            "--bias", "1", "--two-sided"], capsys)
+        assert code == 2
+        assert err.startswith("error: SCR reaches the surface: ")
+
+    def test_net_model_near_flat_band(self, capsys):
+        # 1.3 nV from flat band the net charge is linear in x - x_j over
+        # the 11 pm region, rho = a*(x - x_j) with a = 2*q*N_B*x_j/L_d^2,
+        # so W = sqrt(2*eps*V/(a*x_j))
+        bias = -0.77384358
+        code, out, _ = run(["oracle", *WORKED, "--bias", str(bias), "--model", "net"],
+                           capsys)
+        assert code == 0
+        spec = JunctionSpec(material=get_material("Si"),
+                            profile=GaussianProfile(n0=1e24, l_d=1e-5, n_b=1e21))
+        v = total_potential(spec, Bias.from_signed(bias))
+        a = 2.0 * Q * 1e21 * spec.x_j / 1e-10
+        w = math.sqrt(2.0 * spec.eps * v / (a * spec.x_j))
+        line = out.splitlines()[2]
+        assert line.startswith("numerical  W_SC = ")
+        assert abs(float(line.split()[3]) * 1e-6 - w) <= 1e-6 * w
 
     def test_two_sided_emit_profile(self, tmp_path, capsys):
         prof = tmp_path / "prof.csv"

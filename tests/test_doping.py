@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
@@ -141,6 +142,19 @@ class TestChargeDensity:
         signs = [charge_density(self.profile, x, "net") > 0 for x in xs]
         flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
         assert flips == 1
+
+    def test_net_model_near_junction_against_mpmath(self):
+        # across +-1.25 nm of x_j, the worked junction's two-sided SCR at
+        # 1e-9 V, N(x) - N_B is 6.4e-4 of N_B at most: computed as a
+        # difference it would cancel to 2.5e-12 of its largest value
+        xj = junction_depth(self.profile)
+        xs = [xj + 1.25e-9 * (i - 100) / 100 for i in range(201)]
+        with mpmath.workdps(40):
+            n0, l_d, n_b = (mpmath.mpf(v) for v in (1e24, 1e-5, 1e21))
+            ref = [float(mpmath.mpf(Q) * (n0 * mpmath.exp(-(mpmath.mpf(x) / l_d) ** 2) - n_b))
+                   for x in xs]
+        err = max(abs(charge_density(self.profile, x, "net") - r) for x, r in zip(xs, ref))
+        assert err <= 2e-13 * max(map(abs, ref))
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
