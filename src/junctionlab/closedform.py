@@ -180,7 +180,11 @@ def _width_and_capacitance(l_d: float, eps: float, s_j: float, exp_term: float, 
 def w_sc_from_potential(spec: JunctionSpec, v_total: float,
                         regime: Regime = Regime.GENERAL) -> SolveResult:
     """Solve at an explicit total potential (volts). Used internally and by
-    tests probing limits a Bias cannot express (e.g. V_total = 0)."""
+    tests probing limits a Bias cannot express (e.g. V_total = 0, where
+    W = 0). A V_total that is negative or NaN raises ValueError naming it;
+    one past what the profile supports, +inf included, PunchThroughError."""
+    if not v_total >= 0.0:
+        raise ValueError(f"total potential must be >= 0, got V_total = {v_total} V")
     s_j, exp_term = _junction_terms(spec, regime)
     u = v_total / spec.potential_scale
     a = exp_term - u

@@ -209,7 +209,9 @@ def _levenberg_marquardt(fun, theta, lower, upper):
     would pass the upper bound. Returns (theta, residuals, evaluations,
     converged): converged when a step is within _TOL*(|theta| + _TOL) or
     an accepted step lowers the sum by at most _TOL of it, not converged
-    after _EVALUATIONS residual evaluations.
+    after _EVALUATIONS residual evaluations, or once mu is not finite:
+    J^T J has overflowed, no damping makes it definite, and the Cholesky
+    retries, which evaluate nothing, would never end.
     """
     n = len(theta)
     r = fun(theta)
@@ -237,6 +239,9 @@ def _levenberg_marquardt(fun, theta, lower, upper):
             mu = 1e-3 * max(jtj[i][i] for i in range(n))
         nu = 2.0
         while True:
+            if not mu < math.inf:
+                # J^T J is not finite, so no damping makes it definite
+                return theta, r, evaluations, False
             step = _cholesky_solve([[a + (mu if i == j else 0.0) for j, a in enumerate(row)]
                                     for i, row in enumerate(jtj)], [-x for x in g])
             if step is None:

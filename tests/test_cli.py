@@ -362,6 +362,17 @@ class TestExitCodes:
         assert code == 64
         assert "finite" in capsys.readouterr().err
 
+    def test_fit_whose_residuals_overflow_exit_65(self, tmp_path, capsys):
+        # at 1e-300 K V_bi is ~2.6e-303 V and the residual at 0 V
+        # overflows, so the fit's normal equations are never definite
+        curve = str(tmp_path / "c.csv")
+        assert run(["sweep", *WORKED, "--vstart", "0", "--vstop", "10", "--steps", "21",
+                    "--out", curve], capsys)[0] == 0
+        code, out, err = run(["fit", "--data", curve, "--nb", "1e15", "--temp", "1e-300"],
+                             capsys)
+        assert (code, out, err) == (65, "", "bad data: no valid model anywhere the fit "
+                                            "searched\n")
+
     def test_nan_row_in_curve_exit_65(self, tmp_path, capsys):
         f = tmp_path / "nan.csv"
         f.write_text("v_bias_V,c_b_F_per_m2\n0.0,1e-4\nnan,9e-5\n2.0,8e-5\n"

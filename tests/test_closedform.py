@@ -214,6 +214,34 @@ class TestRegimes:
             w_sc_from_potential(WORKED, 1.01 * WORKED.potential_scale, Regime.DEEP)
 
 
+class TestTotalPotentialDomain:
+    """w_sc_from_potential takes the total potential itself, so it checks
+    what Bias and total_potential keep from the CLI."""
+
+    FAR = JunctionSpec(material=SI, profile=WORKED.profile, x_j=1e294)
+
+    @pytest.mark.parametrize("spec, v_total, regime", [
+        (WORKED, -1.0, Regime.GENERAL),  # was W = -2.45e-08 m, C_b = inf
+        (WORKED, -1.0, Regime.SHALLOW),  # was W = 26.3 um
+        (WORKED, -1.0, Regime.DEEP),     # was math domain error
+        (WORKED, math.nan, Regime.GENERAL),
+        (WORKED, -math.inf, Regime.GENERAL),
+        (FAR, -1.0, Regime.GENERAL),     # was ZeroDivisionError
+    ], ids=["general", "shallow", "deep", "nan", "-inf", "x_j=1e294"])
+    def test_negative_or_nan_rejected(self, spec, v_total, regime):
+        with pytest.raises(ValueError, match=rf"V_total = {v_total} V"):
+            w_sc_from_potential(spec, v_total, regime)
+
+    @pytest.mark.parametrize("regime, w_at_0", [
+        (Regime.GENERAL, 0.0), (Regime.SHALLOW, pytest.approx(WORKED.x_j, rel=1e-15)),
+        (Regime.DEEP, 0.0)], ids=["general", "shallow", "deep"])
+    def test_ends_of_the_domain(self, regime, w_at_0):
+        # the shallow form drops -x_j, so its W at 0 V is x_j
+        assert w_sc_from_potential(WORKED, 0.0, regime).w_sc == w_at_0
+        with pytest.raises(PunchThroughError):
+            w_sc_from_potential(WORKED, math.inf, regime)
+
+
 class TestCapacitance:
     @pytest.mark.parametrize("regime", ["general", "shallow", "deep"])
     def test_cb_times_w_is_eps(self, regime):

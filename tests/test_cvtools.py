@@ -463,6 +463,14 @@ class TestLevenbergMarquardt:
         accepted, column = calls[-2], calls[-1]
         assert column[0] != accepted[0] and column[1] == accepted[1]
 
+    def test_overflowing_jacobian_stops_unconverged(self):
+        # J^T J = [[inf, inf], [inf, inf]]: every Cholesky fails, and the
+        # retries, which evaluate nothing, must not go on for ever
+        theta, r, evaluations, converged = cvtools._levenberg_marquardt(
+            lambda t: [1e300 * (t[0] + t[1])], [1.0, 1.0], *self.NO_BOUND)
+        assert not converged
+        assert (theta, r, evaluations) == ([1.0, 1.0], [2e300], 3)
+
     @pytest.mark.parametrize("a", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
                              ids=["indefinite", "singular"])
     def test_cholesky_rejects_a_matrix_not_positive_definite(self, a):

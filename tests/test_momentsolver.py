@@ -8,10 +8,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from junctionlab import (Bias, ChargeProfile, GaussianProfile, HeteroStack,
-                         JunctionSpec, Material, Q, get_material, junction_depth,
-                         moment_integral, reconstruct_field_potential,
-                         solve_hetero, solve_one_sided, solve_two_sided,
-                         validity_window, w_sc_general)
+                         JunctionSpec, Material, Polarity, Q, get_material,
+                         junction_depth, moment_integral,
+                         reconstruct_field_potential, solve_hetero,
+                         solve_one_sided, solve_two_sided, validity_window,
+                         w_sc_general)
 from junctionlab import momentsolver
 from junctionlab.errors import (StackExhaustedError, SurfaceReachedError,
                                 UnreachablePotentialError)
@@ -432,6 +433,27 @@ class TestReconstruct:
         want = [k / SI.eps * (h(x - c) - h(-c)) for x, _, _ in samples]
         err = max(abs(s[1] - w) for s, w in zip(samples, want))
         assert err <= 1e-13 * max(map(abs, want))
+
+
+class TestAcceptorIntoN:
+    """An acceptor diffused into n is the donor-into-p junction with its
+    charge negated: the same regions, and the field and potential negated."""
+
+    FLIPPED = GaussianProfile(n0=1e24, l_d=1e-5, n_b=1e21, polarity=Polarity.ACCEPTOR_INTO_N)
+
+    @pytest.mark.parametrize("target", [1e-6, 0.5, WORKED.v_bi + 10.0])
+    def test_same_solutions(self, target):
+        for model in (ChargeProfile.paper, ChargeProfile.net_magnitude):
+            assert (solve_one_sided(model(self.FLIPPED), SI.eps, WORKED.x_j, target)
+                    == solve_one_sided(model(WORKED_PROFILE), SI.eps, WORKED.x_j, target))
+        flipped = solve_two_sided(ChargeProfile.net(self.FLIPPED), SI.eps, WORKED.x_j, target)
+        sol = solve_two_sided(ChargeProfile.net(WORKED_PROFILE), SI.eps, WORKED.x_j, target)
+        assert flipped == sol
+        samples = reconstruct_field_potential(ChargeProfile.net(self.FLIPPED), SI.eps,
+                                              sol.x_left, sol.x_right, 201)
+        expected = reconstruct_field_potential(ChargeProfile.net(WORKED_PROFILE), SI.eps,
+                                               sol.x_left, sol.x_right, 201)
+        assert samples == [(x, -e, -u) for x, e, u in expected]
 
 
 class TestSolveHetero:
