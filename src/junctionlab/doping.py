@@ -68,7 +68,7 @@ def diffusion_length(recipe: DiffusionRecipe) -> float:
     return l_d
 
 
-def _before_surface(x: float) -> ValueError:
+def _outside_profile(x: float) -> ValueError:
     return ValueError(f"profile is defined from the surface inward; x = {x} < 0")
 
 
@@ -77,7 +77,7 @@ def _gaussian(profile: GaussianProfile, q: float) -> Callable[[float], float]:
     n0, l_d = profile.n0, profile.l_d
     def fn(x):
         if x < 0.0:
-            raise _before_surface(x)
+            raise _outside_profile(x)
         return q * (n0 * math.exp(-(x / l_d) ** 2))
     return fn
 
@@ -86,11 +86,12 @@ def _net(profile: GaussianProfile, q: float) -> Callable[[float], float]:
     """x -> q*(N0*exp(-x^2/L_d^2) - N_B) at depth x >= 0, computed as
     q*N_B*expm1((x_j - x)*(x_j + x)/L_d^2) with x_j = junction_depth, so
     that it does not cancel near x_j, where x_j - x is exact (Sterbenz);
+    each factor is divided by L_d, so no L_d^2 leaves the float range.
     ValueError at x < 0."""
     qn_b, l_d, x_j = q * profile.n_b, profile.l_d, junction_depth(profile)
     def fn(x):
         if x < 0.0:
-            raise _before_surface(x)
+            raise _outside_profile(x)
         return qn_b * math.expm1((x_j - x) / l_d * ((x_j + x) / l_d))
     return fn
 
