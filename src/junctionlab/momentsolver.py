@@ -57,6 +57,8 @@ _CHEBYSHEV_SIZES = (17, 33, 65, 129)
 # reconstruct_field_potential split it too, so that a charge narrow against
 # the interval is not missed between the nodes of one piece
 _NEAR_SPLITS = (1, 3, 10, 30, 100)
+# solve_one_sided's last success, (rho, eps, x_start, points), replaced whole
+_last = None
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
 
 
 def _running_integral(fn: Callable[[float], float], origin: float,
-                      breaks) -> Callable[[float], float]:
+                      breaks, seed=()) -> Callable[[float], float]:
     """x -> integral of fn from origin to x, remembered at every x asked for.
 
     A new x is integrated only from the nearest remembered point between
@@ -195,9 +197,12 @@ def _running_integral(fn: Callable[[float], float], origin: float,
     away from the origin, never a difference taken from a point farther
     out, and asking again for a remembered x costs no quadrature. Each
     increment is split at the breaks inside it, and each piece integrated
-    by _quad, summed left to right.
+    by _quad, summed left to right. ``seed`` holds (x, value) pairs past
+    the origin, ascending, remembered from the start: an earlier integral
+    of the same fn from the same origin. The remembered (xs, values) are
+    the function's ``points``.
     """
-    xs, values = [origin], [0.0]
+    xs, values = [origin, *(x for x, _ in seed)], [0.0, *(v for _, v in seed)]
 
     def value(x):
         i = bisect.bisect_left(xs, x)
@@ -212,6 +217,7 @@ def _running_integral(fn: Callable[[float], float], origin: float,
         xs.insert(i, x)
         values.insert(i, v)
         return v
+    value.points = xs, values
     return value
 
 
@@ -267,22 +273,26 @@ def _forward_probe(origin: float, x: float, fx: float, dfx: float, scale: float)
     return x + max(x - origin, scale / 100.0)
 
 
-def _solve_outward(f_df, supremum, origin: float, df_origin: float, scale: float,
-                   limit: float, end: float, target: float) -> float:
+def _solve_outward(f_df, supremum, origin: float, start: tuple, scale: float,
+                   limit: float, end: float, target: float,
+                   upper: float = math.inf) -> float:
     """Root past origin of f = |moment| - target, with ``f_df(x)`` giving
-    f and f', from f = -target with slope df_origin at origin: forward
-    probes up to ``limit``, the domain's end in the unknown, until f >= 0,
-    then _newton_in_bracket. A probe at the limit that falls short raises
+    f and f', from ``start`` = (x, f, f') at or past origin with f < 0:
+    forward probes up to ``limit``, the domain's end in the unknown, until
+    f >= 0, then _newton_in_bracket. ``upper``, if finite, is a point past
+    start where f >= 0 is already known: the bracket is [start, upper] and
+    no probe is made. A probe at the limit that falls short raises
     StackExhaustedError naming ``end``, the stack end in x. A stalled f,
     or a probe 1e15 scales out, compares the target with ``supremum()``,
     |moment| at the end."""
     if not 0.0 < target < math.inf:
         raise ValueError(f"target potential must be finite and positive, got {target}")
-    lo, f_lo, df_lo = origin, -target, df_origin
-    while True:
+    lo, f_lo, df_lo = start
+    while upper == math.inf:
         b = min(_forward_probe(origin, lo, f_lo, df_lo, scale), limit)
         fb, dfb = f_df(b)
         if fb >= 0.0:
+            upper = b
             break
         if b == limit:
             raise StackExhaustedError(
@@ -297,7 +307,7 @@ def _solve_outward(f_df, supremum, origin: float, df_origin: float, scale: float
                 raise UnreachablePotentialError(
                     f"target {target:g} V exceeds supremum {sup:g} V", supremum=sup)
         lo, f_lo, df_lo = b, fb, dfb
-    return _newton_in_bracket(f_df, lo, b, _newton_point(lo, f_lo, df_lo))
+    return _newton_in_bracket(f_df, lo, upper, _newton_point(lo, f_lo, df_lo))
 
 
 @dataclass(frozen=True)
@@ -337,26 +347,51 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     the bracket grows by forward Newton steps (doubling from scale/100
     where that derivative is 0) and a safeguarded Newton finds the root
     inside it; the moment is integrated only over each new increment.
+
+    A bias sweep continues from its last solve (Allgower & Georg,
+    *Numerical Continuation Methods*, 1990): the module keeps the last
+    successful solve's (rho, eps, x_start) and up to three of its moment's
+    (w, value) points, the root and its two neighbours inside the domain.
+    A solve on the same rho object (``is``), an equal eps and an equal
+    x_start seeds its moment with them, starts from the largest point
+    below the target (its slope one evaluation of rho), and brackets at
+    once when a point is at or above it. Such a warm result agrees with a
+    cold one, on a newly built rho, within the quadrature's tolerance, not
+    bit for bit; any other solve is cold.
+
     Raises UnreachablePotentialError (with the supremum, the moment to the
     domain's end) when the charge profile cannot support the target
     potential, and StackExhaustedError when the SCR would leave the stack.
     """
+    global _last
     eps_of_x, breaks, end = _domain(rho, eps, x_start, x_start)
     if not x_start >= 0.0:
         raise ValueError(f"x_start = {x_start:g} m must not be negative")
     limit = end - x_start
     if x_start + limit > end:  # no node may round past the stack end
         limit = math.nextafter(limit, 0.0)
+    last = _last
+    seed = last[3] if last and last[0] is rho and last[1] == eps and last[2] == x_start else ()
+    w_start, upper = 0.0, math.inf
+    for w, m in seed:
+        if abs(m) >= target:
+            upper = w
+            break
+        w_start = w
     integrand = _moment_integrand(rho, eps_of_x, origin=x_start)
-    moment = _running_integral(integrand, 0.0, [p - x_start for p in breaks])
+    moment = _running_integral(integrand, 0.0, [p - x_start for p in breaks], seed)
 
     def f_df(w):
         return abs(moment(w)) - target, abs(integrand(w))
 
-    w = _solve_outward(f_df, lambda: abs(moment(limit)), 0.0, abs(integrand(0.0)),
-                       rho.scale, limit, end, target)
-    return ScrSolution(x_left=x_start, x_right=x_start + w, width=w,
-                       moment_value=abs(moment(w)))
+    w = _solve_outward(f_df, lambda: abs(moment(limit)), 0.0, (w_start, *f_df(w_start)),
+                       rho.scale, limit, end, target, upper)
+    value = moment(w)
+    xs, values = moment.points
+    i = max(bisect.bisect_left(xs, w) - 1, 0)
+    _last = rho, eps, x_start, tuple((x, v) for x, v in zip(xs[i:i + 3], values[i:i + 3])
+                                      if 0.0 < x < limit)
+    return ScrSolution(x_left=x_start, x_right=x_start + w, width=w, moment_value=abs(value))
 
 
 def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSolution:
@@ -410,7 +445,7 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
         return abs(c) - target, dc if c > 0.0 else -dc
 
     x_right = _solve_outward(f_df, lambda: abs(moment(end) - moment(left_for(end, charge(end)))),
-                             x_j, 0.0, rho.scale, end, end, target)
+                             x_j, (x_j, -target, 0.0), rho.scale, end, end, target)
     q_right = charge(x_right)
     if (charge(0.0) - q_right) * q_right < 0.0:
         raise SurfaceReachedError(

@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import time
 
 import mpmath
@@ -14,8 +15,8 @@ from junctionlab import (Bias, ChargeProfile, GaussianProfile, HeteroStack,
                          solve_one_sided, solve_two_sided, validity_window,
                          w_sc_general)
 from junctionlab import momentsolver
-from junctionlab.errors import (StackExhaustedError, SurfaceReachedError,
-                                UnreachablePotentialError)
+from junctionlab.errors import (JunctionError, StackExhaustedError,
+                                SurfaceReachedError, UnreachablePotentialError)
 
 SI = get_material("Si")
 WORKED_PROFILE = GaussianProfile(n0=1e24, l_d=1e-5, n_b=1e21)
@@ -192,6 +193,18 @@ class TestQuadratureRule:
         solve_two_sided(ChargeProfile(fn=net, scale=1e-5), SI.eps, WORKED.x_j, target)
         assert len(xs) <= 1224
 
+    def test_worked_junction_bias_grid_rho_evaluations(self):
+        # criterion 3's 50-point grid on one profile: each solve continues
+        # from the last root (7 003 evaluations when every solve was cold)
+        window = validity_window(WORKED)
+        paper, xs = _counted(ChargeProfile.paper(WORKED_PROFILE).fn)
+        rho = ChargeProfile(fn=paper, scale=1e-5)
+        for i in range(50):
+            r = w_sc_general(WORKED, Bias(window.v_max_reverse * 0.98 * i / 49.0, "reverse"))
+            sol = solve_one_sided(rho, SI.eps, WORKED.x_j, r.total_potential)
+            assert abs(sol.width - r.w_sc) <= 1e-12 * r.w_sc
+        assert len(xs) <= 5201
+
 
 @pytest.mark.parametrize("scale",[-1e-6, 0.0, math.nan, math.inf, -math.inf])
 def test_charge_profile_scale_validation(scale):
@@ -244,6 +257,156 @@ class TestSolveOneSided:
         rho = ChargeProfile.paper(WORKED_PROFILE)
         with pytest.raises(ValueError):
             solve_one_sided(rho, SI.eps, WORKED.x_j, 0.0)
+
+
+def _grid(rho, eps, x_start, targets) -> list:
+    return [solve_one_sided(rho, eps, x_start, t) for t in targets]
+
+
+def _cold(make_rho, eps, x_start, targets) -> list:
+    """Each target solved on a newly built profile."""
+    return [solve_one_sided(make_rho(), eps, x_start, t) for t in targets]
+
+
+def _assert_agree(warm, cold):
+    """A continued solve agrees with a cold one within the quadrature's
+    tolerance, not bit for bit."""
+    assert len(warm) == len(cold)
+    for w, c in zip(warm, cold):
+        assert w.x_left == c.x_left
+        assert abs(w.width - c.width) <= 1e-13 * c.width
+        assert abs(w.moment_value - c.moment_value) <= 1e-15 * c.moment_value
+
+
+def _paper_junctions(n, seed) -> list:
+    """(spec, 41 targets from 0.4 V_bi forward to 0.98 of the reverse
+    window) for n random junctions, as the oracle's bias grids run."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        n_b = 10.0 ** rng.uniform(19.0, 23.0)
+        n0 = n_b * 10.0 ** rng.uniform(1.0, min(26.0 - math.log10(n_b), 4.0))
+        spec = JunctionSpec(material=SI, profile=GaussianProfile(
+            n0=n0, l_d=10.0 ** rng.uniform(-7.0, -4.0), n_b=n_b))
+        try:
+            v_max = validity_window(spec).v_max_reverse
+        except JunctionError:
+            continue
+        if v_max > 0.1 * spec.v_bi:
+            start, stop = 0.6 * spec.v_bi, spec.v_bi + 0.98 * v_max
+            out.append((spec, [start + (stop - start) * i / 40 for i in range(41)]))
+    return out
+
+
+class TestContinuation:
+    """Successive one-sided solves on one ChargeProfile object, with an
+    equal eps and x_start, start from the last root; "cold" is a solve on
+    a newly built profile."""
+
+    def test_ascending_worked_grid(self):
+        v_max = validity_window(WORKED).v_max_reverse
+        targets = [WORKED.v_bi * (0.02 + 0.98 * i / 1999) + 0.98 * v_max * i / 1999
+                   for i in range(2000)]
+        paper, xs = _counted(ChargeProfile.paper(WORKED_PROFILE).fn)
+        warm = _grid(ChargeProfile(fn=paper, scale=1e-5), SI.eps, WORKED.x_j, targets)
+        warm_evals = len(xs)
+        xs.clear()
+        cold = _cold(lambda: ChargeProfile(fn=paper, scale=1e-5), SI.eps, WORKED.x_j, targets)
+        _assert_agree(warm, cold)
+        assert warm_evals < 0.8 * len(xs)
+
+    @pytest.mark.parametrize("spec, targets", _paper_junctions(3, 23))
+    def test_ascending_junction_grids(self, spec, targets):
+        rho = ChargeProfile.paper(spec.profile)
+        warm = _grid(rho, spec.eps, spec.x_j, targets)
+        cold = _cold(lambda: ChargeProfile.paper(spec.profile), spec.eps, spec.x_j, targets)
+        _assert_agree(warm, cold)
+
+    def test_descending_and_repeated_targets(self):
+        targets = [WORKED.v_bi + 50.0 - 0.5 * i for i in range(100)]
+        targets += [WORKED.v_bi, WORKED.v_bi, WORKED.v_bi + 10.0, WORKED.v_bi + 10.0]
+        rho = ChargeProfile.paper(WORKED_PROFILE)
+        warm = _grid(rho, SI.eps, WORKED.x_j, targets)
+        cold = _cold(lambda: ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, targets)
+        _assert_agree(warm, cold)
+
+    def test_misses_solve_cold(self):
+        # a solve continues only on the same profile object with an equal
+        # eps and x_start; anything else gives the cold solution's bits
+        other = GaussianProfile(n0=1e25, l_d=3e-6, n_b=1e22)
+        spec = JunctionSpec(material=SI, profile=other)
+        one_layer = HeteroStack(layers=((SI, 1e-3),))
+        a, b = ChargeProfile.paper(WORKED_PROFILE), ChargeProfile.paper(other)
+        for k in range(10):
+            t = WORKED.v_bi + k
+            assert solve_one_sided(a, SI.eps, WORKED.x_j, t) == solve_one_sided(
+                ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, t)
+            assert solve_one_sided(b, SI.eps, spec.x_j, t) == solve_one_sided(
+                ChargeProfile.paper(other), SI.eps, spec.x_j, t)
+        for k in range(10):
+            t = WORKED.v_bi + k
+            solve_one_sided(a, SI.eps, WORKED.x_j, t)
+            assert solve_one_sided(a, one_layer, WORKED.x_j, t + 0.5) == solve_one_sided(
+                ChargeProfile.paper(WORKED_PROFILE), one_layer, WORKED.x_j, t + 0.5)
+            solve_one_sided(a, SI.eps, WORKED.x_j, t)
+            assert solve_one_sided(a, SI.eps, 0.5 * WORKED.x_j, t + 0.5) == solve_one_sided(
+                ChargeProfile.paper(WORKED_PROFILE), SI.eps, 0.5 * WORKED.x_j, t + 0.5)
+
+    def test_unreachable_after_warm_grid(self):
+        with pytest.raises(UnreachablePotentialError) as cold:
+            solve_one_sided(ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, 200.0)
+        rho = ChargeProfile.paper(WORKED_PROFILE)
+        _grid(rho, SI.eps, WORKED.x_j, [WORKED.v_bi + k for k in range(20)])
+        with pytest.raises(UnreachablePotentialError) as warm:
+            solve_one_sided(rho, SI.eps, WORKED.x_j, 200.0)
+        assert abs(warm.value.supremum - cold.value.supremum) <= 1e-12 * cold.value.supremum
+
+    def test_stack_end_after_warm_grid(self):
+        stack = HeteroStack(layers=((SI, WORKED.x_j + 2e-5),))
+        with pytest.raises(StackExhaustedError) as cold:
+            solve_one_sided(ChargeProfile.paper(WORKED_PROFILE), stack, WORKED.x_j, 100.0)
+        assert str(cold.value) == ("SCR would extend past the stack end at 4.62826e-05 m "
+                                   "(moment reaches only 77.3296 of 100 V)")
+        rho = ChargeProfile.paper(WORKED_PROFILE)
+        _grid(rho, stack, WORKED.x_j, [WORKED.v_bi + k for k in range(20)])
+        with pytest.raises(StackExhaustedError) as warm:
+            solve_one_sided(rho, stack, WORKED.x_j, 100.0)
+        assert str(warm.value) == str(cold.value)
+
+    def test_raising_solve_keeps_the_record(self):
+        rho = ChargeProfile.paper(WORKED_PROFILE)
+        targets = [WORKED.v_bi + k for k in range(20)]
+        warm = _grid(rho, SI.eps, WORKED.x_j, targets[:10])
+        record = momentsolver._last
+        assert record[0] is rho and record[3]
+        with pytest.raises(UnreachablePotentialError):
+            solve_one_sided(rho, SI.eps, WORKED.x_j, 200.0)
+        assert momentsolver._last is record
+        warm += _grid(rho, SI.eps, WORKED.x_j, targets[10:])
+        cold = _cold(lambda: ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, targets)
+        _assert_agree(warm, cold)
+
+    def test_two_threads(self):
+        # the record is one immutable tuple, replaced whole, and each
+        # solve's running integral is its own: a race can only cost a miss
+        other = GaussianProfile(n0=1e25, l_d=3e-6, n_b=1e22)
+        jobs = [(WORKED_PROFILE, WORKED), (other, JunctionSpec(material=SI, profile=other))]
+        results = {}
+
+        def run(profile, spec):
+            targets = [spec.v_bi + 0.25 * i for i in range(200)]
+            results[profile] = targets, _grid(ChargeProfile.paper(profile), SI.eps,
+                                              spec.x_j, targets)
+
+        threads = [threading.Thread(target=run, args=job) for job in jobs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for profile, spec in jobs:
+            targets, warm = results[profile]
+            cold = _cold(lambda: ChargeProfile.paper(profile), SI.eps, spec.x_j, targets)
+            _assert_agree(warm, cold)
 
 
 class TestSolveTwoSided:
