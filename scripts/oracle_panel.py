@@ -7,8 +7,14 @@ solve from x_j, and the two-sided net-charge solve with a 201-sample
 field reconstruction. Each solve prints one line: the float.hex of every
 ScrSolution field, the charge-density evaluations, and for the two-sided
 solve a sha256 prefix of the samples and the reconstruction's
-evaluations. A solve that raises prints the exception's class and
-message instead. The last line is a sha256 over all lines before it.
+evaluations. Every profile there is newly built, so each solve is cold.
+Then, per junction and one-sided model, an ascending and a descending
+41-point grid of targets from 0.5 V to V_bi + 10 V, solved on one
+profile object, so that each solve continues from the last: one line
+each with a sha256 prefix of the widths' float.hex and the charge-density
+evaluations of the whole grid. A solve that raises prints the
+exception's class and message instead. The last line is a sha256 over
+all lines before it.
 
 Takes no flags. Two versions of the oracle agree bit for bit where their
 panels do; compare two runs with diff.
@@ -31,6 +37,7 @@ JUNCTIONS = [
     (1.0000001e21, 1e-5, 1e21),
 ]
 SAMPLES = 201
+GRID_POINTS = 41
 
 
 def _counted(rho: ChargeProfile) -> tuple:
@@ -54,6 +61,13 @@ def _one_sided(rho: ChargeProfile, spec: JunctionSpec, target: float) -> str:
     return f"{_fields(sol)} rho={count[0]}"
 
 
+def _grid(rho: ChargeProfile, spec: JunctionSpec, targets) -> str:
+    rho, count = _counted(rho)
+    widths = [solve_one_sided(rho, spec.eps, spec.x_j, t).width for t in targets]
+    digest = hashlib.sha256("".join(f"{w.hex()}\n" for w in widths).encode()).hexdigest()
+    return f"widths={digest[:16]} rho={count[0]}"
+
+
 def _two_sided(profile: GaussianProfile, spec: JunctionSpec, target: float) -> str:
     rho, count = _counted(ChargeProfile.net(profile))
     sol = solve_two_sided(rho, spec.eps, spec.x_j, target)
@@ -63,6 +77,16 @@ def _two_sided(profile: GaussianProfile, spec: JunctionSpec, target: float) -> s
                                     for x, e, u in samples).encode()).hexdigest()
     return (f"{_fields(sol)} rho={solve_count} samples={digest[:16]} "
             f"rho_samples={count[0] - solve_count}")
+
+
+def _record(lines: list, prefix: str, solve) -> None:
+    try:
+        result = solve()
+    except Exception as e:  # the panel records every outcome
+        result = f"{type(e).__name__}: {e}"
+    line = f"{prefix}: {result}"
+    lines.append(line)
+    print(line)
 
 
 def main():
@@ -80,13 +104,14 @@ def main():
                   ("two-sided net", lambda t: _two_sided(profile, spec, t))]
         for label, target in targets:
             for name, solve in solves:
-                try:
-                    result = solve(target)
-                except Exception as e:  # the panel records every outcome
-                    result = f"{type(e).__name__}: {e}"
-                line = f"{n0!r} {l_d!r} {n_b!r} {label}={target.hex()} {name}: {result}"
-                lines.append(line)
-                print(line)
+                _record(lines, f"{n0!r} {l_d!r} {n_b!r} {label}={target.hex()} {name}",
+                        lambda: solve(target))
+        grid = [0.5 + (spec.v_bi + 9.5) * i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
+        for order, targets in (("ascending", grid), ("descending", grid[::-1])):
+            for model in ("paper", "net_magnitude"):
+                make = getattr(ChargeProfile, model)
+                _record(lines, f"{n0!r} {l_d!r} {n_b!r} {order} grid one-sided {model}",
+                        lambda: _grid(make(profile), spec, targets))
     print("sha256", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
