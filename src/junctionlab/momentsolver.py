@@ -226,22 +226,26 @@ def _newton_point(x: float, fx: float, dfx: float) -> float:
     return x - fx / dfx if dfx else math.nan
 
 
-def _newton_in_bracket(f_df, neg: float, pos: float, x: float) -> float:
-    """Root of f between neg and pos, where f(neg) < 0 < f(pos), from the
-    guess x.
+def _newton_in_bracket(f_df, neg: float, pos: float, x: float,
+                       f_x: tuple = ()) -> float:
+    """Root of f between neg and pos, where f(neg) < 0 <= f(pos), from the
+    guess x, or from x already evaluated when ``f_x`` holds f_df(x) (x may
+    then be an end of the bracket).
 
     ``f_df(x)`` returns f and its derivative. Each step is Newton's while
     it stays inside the shrinking bracket and is at most half the step
     before last; otherwise it bisects (rtsafe, Numerical Recipes 9.4).
     Returns the next point once the step to it is within
-    ``_XTOL + _RTOL*|x|``.
+    ``_XTOL + _RTOL*|x|``: so the root lies within that distance of the
+    last point evaluated.
     """
     lo, hi = min(neg, pos), max(neg, pos)
-    if not lo < x < hi:
+    if not (f_x or lo < x < hi):
         x = 0.5 * (lo + hi)
     dx_old = dx = hi - lo
     while True:
-        fx, dfx = f_df(x)
+        fx, dfx = f_x or f_df(x)
+        f_x = ()
         if fx == 0.0:
             return x
         if fx < 0.0:
@@ -260,39 +264,53 @@ def _newton_in_bracket(f_df, neg: float, pos: float, x: float) -> float:
         x = x_new
 
 
-def _forward_probe(origin: float, x: float, fx: float, dfx: float, scale: float) -> float:
+def _forward_probe(origin: float, x: float, fx: float, dfx: float, scale: float,
+                   reach: float) -> float:
     """Next point past x, where an increasing f is still negative, in the
-    search for a bracket: twice the Newton step, since a Newton step
-    falls short on a concave f, but no farther than the larger of
-    ``scale`` and the distance from ``origin``; where that step is not
-    finite and forward, the distance from ``origin`` doubles (starting at
-    scale/100)."""
+    search for a bracket: ``reach`` times the Newton step, but no farther
+    than the larger of ``scale`` and the distance from ``origin``; where
+    that step is not finite and forward, the distance from ``origin``
+    doubles (starting at scale/100)."""
     newton = _newton_point(x, fx, dfx)
     if x < newton < math.inf:
-        return x + min(2.0 * (newton - x), max(x - origin, scale))
+        return x + min(reach * (newton - x), max(x - origin, scale))
     return x + max(x - origin, scale / 100.0)
 
 
 def _solve_outward(f_df, supremum, origin: float, start: tuple, scale: float,
                    limit: float, end: float, target: float,
-                   upper: float = math.inf) -> float:
+                   upper: float = math.inf, warm: bool = False) -> float:
     """Root past origin of f = |moment| - target, with ``f_df(x)`` giving
     f and f', from ``start`` = (x, f, f') at or past origin with f < 0:
     forward probes up to ``limit``, the domain's end in the unknown, until
     f >= 0, then _newton_in_bracket. ``upper``, if finite, is a point past
     start where f >= 0 is already known: the bracket is [start, upper] and
-    no probe is made. A probe at the limit that falls short raises
-    StackExhaustedError naming ``end``, the stack end in x. A stalled f,
-    or a probe 1e15 scales out, compares the target with ``supremum()``,
-    |moment| at the end."""
+    no probe is made.
+
+    Cold, a probe is twice the Newton step, since a Newton step falls
+    short on a concave f, and _newton_in_bracket starts from the last
+    probe's Newton point. ``warm`` marks a start near the root: a probe is
+    the Newton step itself, the search ends at one within
+    ``_XTOL + _RTOL*|x|`` as _newton_in_bracket's does, and
+    _newton_in_bracket starts from the upper end, evaluated. Either way
+    the root returned lies within that distance of the last point f_df
+    evaluated.
+
+    A probe at the limit that falls short raises StackExhaustedError
+    naming ``end``, the stack end in x. A stalled f, or a probe 1e15
+    scales out, compares the target with ``supremum()``, |moment| at the
+    end."""
     if not 0.0 < target < math.inf:
         raise ValueError(f"target potential must be finite and positive, got {target}")
     lo, f_lo, df_lo = start
+    f_upper = ()
     while upper == math.inf:
-        b = min(_forward_probe(origin, lo, f_lo, df_lo, scale), limit)
+        b = min(_forward_probe(origin, lo, f_lo, df_lo, scale, 1.0 if warm else 2.0), limit)
+        if warm and b < limit and b - lo <= _XTOL + _RTOL * abs(b):
+            return b
         fb, dfb = f_df(b)
         if fb >= 0.0:
-            upper = b
+            upper, f_upper = b, (fb, dfb)
             break
         if b == limit:
             raise StackExhaustedError(
@@ -307,6 +325,8 @@ def _solve_outward(f_df, supremum, origin: float, start: tuple, scale: float,
                 raise UnreachablePotentialError(
                     f"target {target:g} V exceeds supremum {sup:g} V", supremum=sup)
         lo, f_lo, df_lo = b, fb, dfb
+    if warm:
+        return _newton_in_bracket(f_df, lo, upper, upper, f_upper or f_df(upper))
     return _newton_in_bracket(f_df, lo, upper, _newton_point(lo, f_lo, df_lo))
 
 
@@ -317,7 +337,10 @@ class ScrSolution:
     # the SCR's width as solved: the one-sided solve's unknown, which keeps
     # its digits where x_right - x_left would round to ulps of x_left
     width: float
-    moment_value: float           # magnitude of the moment integral, volts
+    # |moment| over the SCR in volts: the two-sided solve's centred moment;
+    # the one-sided one's is a Taylor step from the last point its root
+    # search evaluated, within _XTOL + _RTOL*width of the root
+    moment_value: float
 
 
 def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
@@ -343,21 +366,35 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     The unknown is w, the offset from x_start, so that a narrow SCR is not
     resolved only to ulps of x_start (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2nd ed., 1.7): the moment is integrated over
-    s = x - x_start. Its derivative in w is x*rho/eps at x_start + w, so
-    the bracket grows by forward Newton steps (doubling from scale/100
-    where that derivative is 0) and a safeguarded Newton finds the root
-    inside it; the moment is integrated only over each new increment.
+    s = x - x_start. Its derivative in w is x*rho/eps at x_start + w. A
+    cold solve grows the bracket from w = 0 by forward probes at twice the
+    Newton step (doubling from scale/100 where that derivative is 0), and a
+    safeguarded Newton finds the root inside it; the moment is integrated
+    only over each new increment.
 
     A bias sweep continues from its last solve (Allgower & Georg,
     *Numerical Continuation Methods*, 1990): the module keeps the last
     successful solve's (rho, eps, x_start) and up to three of its moment's
     (w, value) points, the root and its two neighbours inside the domain.
     A solve on the same rho object (``is``), an equal eps and an equal
-    x_start seeds its moment with them, starts from the largest point
-    below the target (its slope one evaluation of rho), and brackets at
-    once when a point is at or above it. Such a warm result agrees with a
-    cold one, on a newly built rho, within the quadrature's tolerance, not
-    bit for bit; any other solve is cold.
+    x_start seeds its moment with them, and the first point at or above
+    the target is its bracket's upper end. When a point lies below the
+    target the solve is warm: from the largest such point (its slope one
+    evaluation of rho) it takes plain Newton steps forward, each iterate
+    with |moment| < target the new lower end, until a step is within
+    _XTOL + _RTOL*w or an iterate reaches the target; the safeguarded
+    Newton then starts from the upper end, evaluated. Otherwise it starts
+    from w = 0 as a cold solve does. A warm result agrees with a cold one,
+    on a newly built rho, within the quadrature's tolerance, not bit for
+    bit; any other solve is cold.
+
+    ``moment_value`` costs no quadrature: the root w lies within
+    d = _XTOL + _RTOL*w of the last point w0 evaluated, and the moment
+    there is one Taylor step, M(w0) + M'(w0)*(w - w0), with the slope
+    M'(w0) that Newton already evaluated. Beyond the quadrature error of
+    M(w0), the step is off by at most d*max|M'(s) - M'(w0)| over s between
+    w0 and w: d^2/2*max|M''| where rho/eps is smooth, ~(d/w)^2 of the
+    moment. After a Newton step the value is the target to rounding.
 
     Raises UnreachablePotentialError (with the supremum, the moment to the
     domain's end) when the charge profile cannot support the target
@@ -380,17 +417,21 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
         w_start = w
     integrand = _moment_integrand(rho, eps_of_x, origin=x_start)
     moment = _running_integral(integrand, 0.0, [p - x_start for p in breaks], seed)
+    near = None  # (w, moment, integrand) at the last point evaluated
 
     def f_df(w):
-        return abs(moment(w)) - target, abs(integrand(w))
+        nonlocal near
+        near = w, moment(w), integrand(w)
+        return abs(near[1]) - target, abs(near[2])
 
     w = _solve_outward(f_df, lambda: abs(moment(limit)), 0.0, (w_start, *f_df(w_start)),
-                       rho.scale, limit, end, target, upper)
-    value = moment(w)
+                       rho.scale, limit, end, target, upper, warm=w_start > 0.0)
+    w_near, m_near, slope = near
+    value = m_near + slope * (w - w_near)
     xs, values = moment.points
-    i = max(bisect.bisect_left(xs, w) - 1, 0)
-    _last = rho, eps, x_start, tuple((x, v) for x, v in zip(xs[i:i + 3], values[i:i + 3])
-                                      if 0.0 < x < limit)
+    i, k = bisect.bisect_left(xs, w), bisect.bisect_right(xs, w)
+    around = (*zip(xs[i - 1:i], values[i - 1:i]), (w, value), *zip(xs[k:k + 1], values[k:k + 1]))
+    _last = rho, eps, x_start, tuple((x, v) for x, v in around if 0.0 < x < limit)
     return ScrSolution(x_left=x_start, x_right=x_start + w, width=w, moment_value=abs(value))
 
 

@@ -195,15 +195,27 @@ class TestQuadratureRule:
 
     def test_worked_junction_bias_grid_rho_evaluations(self):
         # criterion 3's 50-point grid on one profile: each solve continues
-        # from the last root (7 003 evaluations when every solve was cold)
-        window = validity_window(WORKED)
-        paper, xs = _counted(ChargeProfile.paper(WORKED_PROFILE).fn)
-        rho = ChargeProfile(fn=paper, scale=1e-5)
-        for i in range(50):
-            r = w_sc_general(WORKED, Bias(window.v_max_reverse * 0.98 * i / 49.0, "reverse"))
-            sol = solve_one_sided(rho, SI.eps, WORKED.x_j, r.total_potential)
-            assert abs(sol.width - r.w_sc) <= 1e-12 * r.w_sc
-        assert len(xs) <= 5201
+        # from the last root (7 003 evaluations when every solve was cold,
+        # 5 152 when a warm solve probed at twice the Newton step and spent
+        # a panel on its root's moment)
+        assert _worked_bias_grid_rho_evaluations(range(50)) <= 3805
+
+    def test_worked_junction_descending_bias_grid_rho_evaluations(self):
+        # the same grid run downwards (6 187 with the probe and the panel)
+        assert _worked_bias_grid_rho_evaluations(range(49, -1, -1)) <= 5761
+
+
+def _worked_bias_grid_rho_evaluations(steps) -> int:
+    """rho evaluations of criterion 3's worked-junction grid, solved in the
+    order of ``steps`` on one profile, each width checked at 1e-12."""
+    window = validity_window(WORKED)
+    paper, xs = _counted(ChargeProfile.paper(WORKED_PROFILE).fn)
+    rho = ChargeProfile(fn=paper, scale=1e-5)
+    for i in steps:
+        r = w_sc_general(WORKED, Bias(window.v_max_reverse * 0.98 * i / 49.0, "reverse"))
+        sol = solve_one_sided(rho, SI.eps, WORKED.x_j, r.total_potential)
+        assert abs(sol.width - r.w_sc) <= 1e-12 * r.w_sc
+    return len(xs)
 
 
 @pytest.mark.parametrize("scale",[-1e-6, 0.0, math.nan, math.inf, -math.inf])
@@ -385,6 +397,24 @@ class TestContinuation:
         warm += _grid(rho, SI.eps, WORKED.x_j, targets[10:])
         cold = _cold(lambda: ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, targets)
         _assert_agree(warm, cold)
+
+    @pytest.mark.parametrize("model", ["paper", "net_magnitude"])
+    @pytest.mark.parametrize("n0, l_d, n_b", [(1e24, 1e-5, 1e21), (5e23, 3e-7, 2.5e23),
+                                              (1e25, 3e-6, 1e22), (1.0000001e21, 1e-5, 1e21)])
+    def test_reported_moment_is_the_target(self, n0, l_d, n_b, model):
+        # the root's moment is one Taylor step from the last point
+        # evaluated, within _XTOL + _RTOL*w of it: no quadrature across an
+        # increment only ulps of x_j wide, which missed the target by up to
+        # 2.4e-12 on the net-magnitude model
+        profile = GaussianProfile(n0=n0, l_d=l_d, n_b=n_b)
+        spec = JunctionSpec(material=SI, profile=profile)
+        targets = [1e-6 * ((spec.v_bi + 10.0) / 1e-6) ** (i / 59) for i in range(60)]
+        make = getattr(ChargeProfile, model)
+        warm = _grid(make(profile), SI.eps, spec.x_j, targets)
+        cold = _cold(lambda: make(profile), SI.eps, spec.x_j, targets)
+        for t, w, c in zip(targets, warm, cold):
+            assert abs(w.moment_value - t) <= 1e-15 * t
+            assert abs(c.moment_value - t) <= 1e-15 * t
 
     def test_two_threads(self):
         # the record is one immutable tuple, replaced whole, and each
