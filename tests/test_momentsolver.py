@@ -398,6 +398,24 @@ class TestContinuation:
         cold = _cold(lambda: ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, targets)
         _assert_agree(warm, cold)
 
+    def test_descending_convex_grid_starts_below_from_the_origin(self):
+        # the net-magnitude moment from x_j is convex, so Newton from a
+        # seeded upper end converges from above and leaves no seed below
+        # the next, lower target; that solve searches out from the origin
+        # as a cold one does (6 619 evaluations with the doubled probe;
+        # 28 427 when it took Newton steps from the origin, each first
+        # increment one quadrature across ~100 L_d)
+        profile = GaussianProfile(n0=1e26, l_d=1e-7, n_b=1e20)
+        spec = JunctionSpec(material=SI, profile=profile)
+        targets = [0.5 + (spec.v_bi + 9.5) * i / 40 for i in range(40, -1, -1)]
+        base = ChargeProfile.net_magnitude(profile)
+        net, xs = _counted(base.fn)
+        rho = ChargeProfile(fn=net, steps=base.steps, scale=base.scale)
+        warm = _grid(rho, SI.eps, spec.x_j, targets)
+        assert len(xs) <= 5725
+        _assert_agree(warm, _cold(lambda: ChargeProfile.net_magnitude(profile), SI.eps,
+                                  spec.x_j, targets))
+
     @pytest.mark.parametrize("model", ["paper", "net_magnitude"])
     @pytest.mark.parametrize("n0, l_d, n_b", [(1e24, 1e-5, 1e21), (5e23, 3e-7, 2.5e23),
                                               (1e25, 3e-6, 1e22), (1.0000001e21, 1e-5, 1e21)])
