@@ -384,9 +384,10 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     with |moment| < target the new lower end, until a step is within
     _XTOL + _RTOL*w or an iterate reaches the target; the safeguarded
     Newton then starts from the upper end, evaluated. Otherwise it starts
-    from w = 0 as a cold solve does. A warm result agrees with a cold one,
-    on a newly built rho, within the quadrature's tolerance, not bit for
-    bit; any other solve is cold.
+    from w = 0 as a cold solve does, inside [0, upper end] when the seed
+    gives one. A warm result agrees with a cold one, on a newly built rho,
+    within the quadrature's tolerance, not bit for bit; any other solve is
+    cold.
 
     ``moment_value`` costs no quadrature: the root w lies within
     d = _XTOL + _RTOL*w of the last point w0 evaluated, and the moment

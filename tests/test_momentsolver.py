@@ -398,7 +398,7 @@ class TestContinuation:
         cold = _cold(lambda: ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, targets)
         _assert_agree(warm, cold)
 
-    def test_descending_convex_grid_starts_below_from_the_origin(self):
+    def test_no_seed_below_searches_from_the_origin(self):
         # the net-magnitude moment from x_j is convex, so Newton from a
         # seeded upper end converges from above and leaves no seed below
         # the next, lower target; that solve searches out from the origin
@@ -423,7 +423,7 @@ class TestContinuation:
         # the root's moment is one Taylor step from the last point
         # evaluated, within _XTOL + _RTOL*w of it: no quadrature across an
         # increment only ulps of x_j wide, which missed the target by up to
-        # 2.4e-12 on the net-magnitude model
+        # 2.8e-12 on the net-magnitude model
         profile = GaussianProfile(n0=n0, l_d=l_d, n_b=n_b)
         spec = JunctionSpec(material=SI, profile=profile)
         targets = [1e-6 * ((spec.v_bi + 10.0) / 1e-6) ** (i / 59) for i in range(60)]
