@@ -37,8 +37,9 @@ class CvCurve:
             if not 0.0 < c < math.inf:
                 raise CurveFormatError(f"capacitance must be finite and positive, "
                                        f"got {c:g} at {v:g} V")
-            if w is not None and not math.isfinite(w):
-                raise CurveFormatError(f"width must be finite, got {w:g} at {v:g} V")
+            if w is not None and not 0.0 < w < math.inf:
+                raise CurveFormatError(f"width must be finite and positive, "
+                                       f"got {w:g} at {v:g} V")
             prev = v
 
     def __len__(self):

@@ -49,7 +49,8 @@ _GK21 = (
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
 # the tolerances qagse is asked for, and its limit on panels
 _EPSABS, _EPSREL, _PANELS = 1e-30, 1e-12, 200
-# a root is accepted once a step is within _XTOL + _RTOL*|x|
+# a root search ends once a step is within _XTOL + _RTOL*|x|, or once two
+# Newton steps predict an error within _RTOL*|x| (_converged)
 _XTOL, _RTOL = 1e-18, 8.9e-16
 # points per Chebyshev fit of rho/eps, tried in turn
 _CHEBYSHEV_SIZES = (17, 33, 65, 129)
@@ -57,7 +58,8 @@ _CHEBYSHEV_SIZES = (17, 33, 65, 129)
 # reconstruct_field_potential split it too, so that a charge narrow against
 # the interval is not missed between the nodes of one piece
 _NEAR_SPLITS = (1, 3, 10, 30, 100)
-# solve_one_sided's last success, (rho, eps, x_start, points), replaced whole
+# solve_one_sided's last success, (rho, eps, x_start, points, (w, |M|) where
+# its search started), replaced whole
 _last = None
 
 
@@ -226,22 +228,36 @@ def _newton_point(x: float, fx: float, dfx: float) -> float:
     return x - fx / dfx if dfx else math.nan
 
 
+def _converged(step: float, newton: float, x: float) -> bool:
+    """Whether the step to x ends a root search: it is within
+    ``_XTOL + _RTOL*|x|``, or it is a Newton step that follows the Newton
+    step ``newton`` (0 when the step before was none) from an evaluated
+    point and predicts an error step^3/newton^2 <= ``_RTOL*|x|`` at x.
+    Near a simple root Newton's error squares at each step, e' ~ C*e^2,
+    each step is about the error it removes, and so the two steps
+    estimate C ~ step/newton^2. The test is relative only: 1e-18 m is
+    1e-10 of a 10 nm SCR."""
+    return step <= _XTOL + _RTOL * abs(x) or step ** 3 <= _RTOL * abs(x) * newton * newton
+
+
 def _newton_in_bracket(f_df, neg: float, pos: float, x: float,
-                       f_x: tuple = ()) -> float:
+                       f_x: tuple = (), newton: float = 0.0) -> float:
     """Root of f between neg and pos, where f(neg) < 0 <= f(pos), from the
     guess x, or from x already evaluated when ``f_x`` holds f_df(x) (x may
-    then be an end of the bracket).
+    then be an end of the bracket). ``newton`` is the Newton step that
+    reached x from a point evaluated before it, if one did.
 
     ``f_df(x)`` returns f and its derivative. Each step is Newton's while
     it stays inside the shrinking bracket and is at most half the step
     before last; otherwise it bisects (rtsafe, Numerical Recipes 9.4).
-    Returns the next point once the step to it is within
-    ``_XTOL + _RTOL*|x|``: so the root lies within that distance of the
-    last point evaluated.
+    Returns the next point, unevaluated, once _converged says so: the
+    step to it is within ``_XTOL + _RTOL*|x|``, or two Newton steps
+    predict its error within ``_RTOL*|x|``. The root then lies about one
+    step from the last point evaluated.
     """
     lo, hi = min(neg, pos), max(neg, pos)
     if not (f_x or lo < x < hi):
-        x = 0.5 * (lo + hi)
+        x, newton = 0.5 * (lo + hi), 0.0
     dx_old = dx = hi - lo
     while True:
         fx, dfx = f_x or f_df(x)
@@ -256,30 +272,46 @@ def _newton_in_bracket(f_df, neg: float, pos: float, x: float,
         x_new = _newton_point(x, fx, dfx)
         if lo <= x_new <= hi and 2.0 * abs(x_new - x) <= dx_old:
             dx_old, dx = dx, abs(x_new - x)
+            before, newton = newton, dx
         else:
             dx_old, dx = dx, 0.5 * (hi - lo)
-            x_new = lo + dx
-        if dx <= _XTOL + _RTOL * abs(x_new):
+            x_new, before, newton = lo + dx, 0.0, 0.0
+        if _converged(dx, before, x_new):
             return x_new
         x = x_new
 
 
 def _forward_probe(origin: float, x: float, fx: float, dfx: float, scale: float,
-                   reach: float) -> float:
+                   warm: bool) -> float:
     """Next point past x, where an increasing f is still negative, in the
-    search for a bracket: ``reach`` times the Newton step, but no farther
-    than the larger of ``scale`` and the distance from ``origin``; where
-    that step is not finite and forward, the distance from ``origin``
-    doubles (starting at scale/100)."""
+    search for a bracket: twice the Newton step, or ``warm`` the Newton
+    point itself, but no farther than the larger of ``scale`` and the
+    distance from ``origin``; where that step is not finite and forward,
+    the distance from ``origin`` doubles (starting at scale/100)."""
     newton = _newton_point(x, fx, dfx)
     if x < newton < math.inf:
-        return x + min(reach * (newton - x), max(x - origin, scale))
+        cap = max(x - origin, scale)
+        return newton if warm and newton - x <= cap else x + min(2.0 * (newton - x), cap)
     return x + max(x - origin, scale / 100.0)
+
+
+def _predicted_point(x: float, fx: float, dfx: float, x_p: float, f_p: float) -> float:
+    """The root of the quadratic in f through (fx, x) with slope 1/dfx
+    there and through (f_p, x_p): x's Newton point plus the quadratic's
+    curvature term, a continuation predictor (Allgower & Georg, *Numerical
+    Continuation Methods*, ch. 2). nan unless it lies past x and within
+    twice x's Newton step."""
+    newton = _newton_point(x, fx, dfx)
+    df = f_p - fx
+    if not (df and x < newton < math.inf):
+        return math.nan
+    guess = newton + (x_p - x - df / dfx) * (fx / df) ** 2
+    return guess if x < guess <= x + 2.0 * (newton - x) else math.nan
 
 
 def _solve_outward(f_df, supremum, origin: float, start: tuple, scale: float,
                    limit: float, end: float, target: float,
-                   upper: float = math.inf, warm: bool = False) -> float:
+                   upper: float = math.inf, previous: tuple = ()) -> float:
     """Root past origin of f = |moment| - target, with ``f_df(x)`` giving
     f and f', from ``start`` = (x, f, f') at or past origin with f < 0:
     forward probes up to ``limit``, the domain's end in the unknown, until
@@ -289,12 +321,14 @@ def _solve_outward(f_df, supremum, origin: float, start: tuple, scale: float,
 
     Cold, a probe is twice the Newton step, since a Newton step falls
     short on a concave f, and _newton_in_bracket starts from the last
-    probe's Newton point. ``warm`` marks a start near the root: a probe is
-    the Newton step itself, the search ends at one within
-    ``_XTOL + _RTOL*|x|`` as _newton_in_bracket's does, and
-    _newton_in_bracket starts from the upper end, evaluated. Either way
-    the root returned lies within that distance of the last point f_df
-    evaluated.
+    probe's Newton point. ``previous``, the (x, f) where an earlier search
+    on the same f started, marks a start near the root (warm): the first
+    probe is _predicted_point's, or the Newton point where that is nan,
+    each later probe the Newton point itself; the search returns the next
+    probe unevaluated once _converged says so, as _newton_in_bracket
+    does, and _newton_in_bracket starts from the upper end, evaluated.
+    Either way the root lies one step from the last point f_df evaluated,
+    as _newton_in_bracket states.
 
     A probe at the limit that falls short raises StackExhaustedError
     naming ``end``, the stack end in x. A stalled f, or a probe 1e15
@@ -303,14 +337,18 @@ def _solve_outward(f_df, supremum, origin: float, start: tuple, scale: float,
     if not 0.0 < target < math.inf:
         raise ValueError(f"target potential must be finite and positive, got {target}")
     lo, f_lo, df_lo = start
-    f_upper = ()
+    f_upper, newton = (), 0.0  # the Newton step to the last point evaluated, if one
+    b = _predicted_point(*start, *previous) if previous else math.nan
     while upper == math.inf:
-        b = min(_forward_probe(origin, lo, f_lo, df_lo, scale, 1.0 if warm else 2.0), limit)
-        if warm and b < limit and b - lo <= _XTOL + _RTOL * abs(b):
+        if not lo < b:
+            b = _forward_probe(origin, lo, f_lo, df_lo, scale, bool(previous))
+        b = min(b, limit)
+        step = b - lo if b == _newton_point(lo, f_lo, df_lo) else 0.0
+        if previous and b < limit and _converged(b - lo, newton if step else 0.0, b):
             return b
         fb, dfb = f_df(b)
         if fb >= 0.0:
-            upper, f_upper = b, (fb, dfb)
+            upper, f_upper, newton = b, (fb, dfb), step
             break
         if b == limit:
             raise StackExhaustedError(
@@ -324,9 +362,9 @@ def _solve_outward(f_df, supremum, origin: float, start: tuple, scale: float,
             if target >= sup:
                 raise UnreachablePotentialError(
                     f"target {target:g} V exceeds supremum {sup:g} V", supremum=sup)
-        lo, f_lo, df_lo = b, fb, dfb
-    if warm:
-        return _newton_in_bracket(f_df, lo, upper, upper, f_upper or f_df(upper))
+        lo, f_lo, df_lo, b, newton = b, fb, dfb, math.nan, step
+    if previous:
+        return _newton_in_bracket(f_df, lo, upper, upper, f_upper or f_df(upper), newton)
     return _newton_in_bracket(f_df, lo, upper, _newton_point(lo, f_lo, df_lo))
 
 
@@ -339,7 +377,8 @@ class ScrSolution:
     width: float
     # |moment| over the SCR in volts: the two-sided solve's centred moment;
     # the one-sided one's is a Taylor step from the last point its root
-    # search evaluated, within _XTOL + _RTOL*width of the root
+    # search evaluated, one step short of the width, within ~M'*_RTOL*width
+    # of the moment there
     moment_value: float
 
 
@@ -373,29 +412,36 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     only over each new increment.
 
     A bias sweep continues from its last solve (Allgower & Georg,
-    *Numerical Continuation Methods*, 1990): the module keeps the last
-    successful solve's (rho, eps, x_start) and up to three of its moment's
-    (w, value) points, the root and its two neighbours inside the domain.
+    *Numerical Continuation Methods*, 1990, ch. 2): the module keeps the
+    last successful solve's (rho, eps, x_start), up to three of its
+    moment's (w, value) points, the root and its two neighbours inside the
+    domain, and the (w, |M|) where its search started (w = 0 when cold).
     A solve on the same rho object (``is``), an equal eps and an equal
-    x_start seeds its moment with them, and the first point at or above
-    the target is its bracket's upper end. When a point lies below the
-    target the solve is warm: from the largest such point (its slope one
-    evaluation of rho) it takes plain Newton steps forward, each iterate
-    with |moment| < target the new lower end, until a step is within
-    _XTOL + _RTOL*w or an iterate reaches the target; the safeguarded
-    Newton then starts from the upper end, evaluated. Otherwise it starts
-    from w = 0 as a cold solve does, inside [0, upper end] when the seed
-    gives one. A warm result agrees with a cold one, on a newly built rho,
-    within the quadrature's tolerance, not bit for bit; any other solve is
-    cold.
+    x_start seeds its moment with the points, and the first point at or
+    above the target is its bracket's upper end. When a point lies below
+    the target the solve is warm. From the largest such point, its start
+    (its slope one evaluation of rho), it predicts: its first point is
+    where the quadratic in the moment through the start, with slope 1/M'
+    there, and through the last solve's start reaches the target, or the
+    Newton point where that lies behind the start or past twice the Newton
+    step. Then it corrects by plain Newton steps forward, each iterate with
+    |moment| < target the new lower end, until _converged stops it or an
+    iterate reaches the target; the safeguarded Newton then starts from
+    the upper end, evaluated. Otherwise it starts from w = 0 as a cold
+    solve does, inside [0, upper end] when the seed gives one. A warm
+    result agrees with a cold one, on a newly built rho, within the
+    quadrature's tolerance, not bit for bit; any other solve is cold.
 
-    ``moment_value`` costs no quadrature: the root w lies within
-    d = _XTOL + _RTOL*w of the last point w0 evaluated, and the moment
-    there is one Taylor step, M(w0) + M'(w0)*(w - w0), with the slope
-    M'(w0) that Newton already evaluated. Beyond the quadrature error of
-    M(w0), the step is off by at most d*max|M'(s) - M'(w0)| over s between
-    w0 and w: d^2/2*max|M''| where rho/eps is smooth, ~(d/w)^2 of the
-    moment. After a Newton step the value is the target to rounding.
+    ``moment_value`` costs no quadrature: the search returns w one step d
+    past the last point w0 it evaluated, and the moment there is one
+    Taylor step, M(w0) + M'(w0)*d, with the slope M'(w0) that Newton
+    already evaluated. After a Newton step the value is the target to
+    rounding. Beyond the quadrature error of M(w0), the step is off by at
+    most |d|*max|M'(s) - M'(w0)| over s between w0 and w, |M''|/2*d^2
+    where rho/eps is smooth. That is M' times Newton's own estimate of the
+    error left at w, |M''/(2M')|*d^2: ~M'*_RTOL*w after a stop on the
+    predicted error, and ~(d/w)^2 of the moment after a stop on a step
+    within d <= _XTOL + _RTOL*w.
 
     Raises UnreachablePotentialError (with the supremum, the moment to the
     domain's end) when the charge profile cannot support the target
@@ -425,14 +471,19 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
         near = w, moment(w), integrand(w)
         return abs(near[1]) - target, abs(near[2])
 
-    w = _solve_outward(f_df, lambda: abs(moment(limit)), 0.0, (w_start, *f_df(w_start)),
-                       rho.scale, limit, end, target, upper, warm=w_start > 0.0)
+    start = w_start, *f_df(w_start)
+    m_start = abs(near[1])
+    # a warm solve passes the last solve's start as (w, f)
+    previous = (last[4][0], last[4][1] - target) if w_start > 0.0 else ()
+    w = _solve_outward(f_df, lambda: abs(moment(limit)), 0.0, start, rho.scale, limit, end,
+                       target, upper, previous)
     w_near, m_near, slope = near
     value = m_near + slope * (w - w_near)
     xs, values = moment.points
     i, k = bisect.bisect_left(xs, w), bisect.bisect_right(xs, w)
     around = (*zip(xs[i - 1:i], values[i - 1:i]), (w, value), *zip(xs[k:k + 1], values[k:k + 1]))
-    _last = rho, eps, x_start, tuple((x, v) for x, v in around if 0.0 < x < limit)
+    _last = (rho, eps, x_start, tuple((x, v) for x, v in around if 0.0 < x < limit),
+             (w_start, m_start))
     return ScrSolution(x_left=x_start, x_right=x_start + w, width=w, moment_value=abs(value))
 
 

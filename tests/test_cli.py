@@ -380,6 +380,13 @@ class TestExitCodes:
         code, _, _ = run(["fit", "--data", str(f), "--nb", "1e15"], capsys)
         assert code == 65
 
+    def test_non_positive_width_in_curve_exit_65(self, tmp_path, capsys):
+        f = tmp_path / "negative.csv"
+        f.write_text("v_bias_V,c_b_F_per_m2,w_sc_m\n0.0,1e-3,-5.0\n")
+        code, out, err = run(["fit", "--data", str(f), "--nb", "1e15"], capsys)
+        assert (code, out) == (65, "")
+        assert "width must be finite and positive, got -5 at 0 V" in err
+
     @pytest.mark.parametrize("name", ["bad.csv", "bad.json"])
     def test_non_utf8_curve_exit_65(self, name, tmp_path, capsys):
         f = tmp_path / name

@@ -357,6 +357,18 @@ class TestNonFinite:
         with pytest.raises(CurveFormatError, match="number too large for a float"):
             deserialize(b'{"points": [' + big + b'], "spec": null}', "json")
 
+    @pytest.mark.parametrize("w_sc", ["-5.0", "0.0", "-0.0"])
+    def test_csv_non_positive_width(self, w_sc):
+        data = (CSV_HEADER + f"\n0.0,1e-3,{w_sc}\n").encode()
+        with pytest.raises(CurveFormatError, match="width must be finite and positive"):
+            deserialize(data, "csv")
+
+    @pytest.mark.parametrize("w_sc", [b"-5.0", b"0.0", b"-1e-300"])
+    def test_json_non_positive_width(self, w_sc):
+        data = b'{"points": [{"v_bias": 0.0, "c_b": 1e-3, "w_sc": ' + w_sc + b'}], "spec": null}'
+        with pytest.raises(CurveFormatError, match="width must be finite and positive"):
+            deserialize(data, "json")
+
     def test_json_nan_value(self):
         data = b'{"points": [{"v_bias": 0.0, "c_b": NaN, "w_sc": null}], "spec": null}'
         with pytest.raises(CurveFormatError):

@@ -184,25 +184,30 @@ class TestQuadratureRule:
         assert len(xs) == 21 * (2 * momentsolver._PANELS - 1)
 
     def test_worked_junction_rho_evaluations(self):
-        # the oracle's machine-independent cost on the worked junction
+        # the oracle's machine-independent cost on the worked junction (111
+        # and 1 224 when a root search stopped only on a step within
+        # _XTOL + _RTOL*|x|, not on the error two Newton steps predict)
         target = WORKED.v_bi + 10.0
         paper, xs = _counted(ChargeProfile.paper(WORKED_PROFILE).fn)
         solve_one_sided(ChargeProfile(fn=paper, scale=1e-5), SI.eps, WORKED.x_j, target)
-        assert len(xs) <= 111
+        assert len(xs) <= 89
         net, xs = _counted(ChargeProfile.net(WORKED_PROFILE).fn)
         solve_two_sided(ChargeProfile(fn=net, scale=1e-5), SI.eps, WORKED.x_j, target)
-        assert len(xs) <= 1224
+        assert len(xs) <= 1111
 
     def test_worked_junction_bias_grid_rho_evaluations(self):
         # criterion 3's 50-point grid on one profile: each solve continues
         # from the last root (7 003 evaluations when every solve was cold,
         # 5 152 when a warm solve probed at twice the Newton step and spent
-        # a panel on its root's moment)
-        assert _worked_bias_grid_rho_evaluations(range(50)) <= 3805
+        # a panel on its root's moment, 3 768 when its first point was the
+        # tangent step from the last root and it stopped only on a step
+        # within _XTOL + _RTOL*w)
+        assert _worked_bias_grid_rho_evaluations(range(50)) <= 2561
 
     def test_worked_junction_descending_bias_grid_rho_evaluations(self):
-        # the same grid run downwards (6 187 with the probe and the panel)
-        assert _worked_bias_grid_rho_evaluations(range(49, -1, -1)) <= 5761
+        # the same grid run downwards (6 187 with the probe and the panel,
+        # 5 704 with the tangent step and the step-size stop)
+        assert _worked_bias_grid_rho_evaluations(range(49, -1, -1)) <= 4983
 
 
 def _worked_bias_grid_rho_evaluations(steps) -> int:
@@ -342,6 +347,21 @@ class TestContinuation:
         cold = _cold(lambda: ChargeProfile.paper(WORKED_PROFILE), SI.eps, WORKED.x_j, targets)
         _assert_agree(warm, cold)
 
+    def test_narrow_scrs_stop_on_a_relative_error(self):
+        # criterion 3's junction whose SCR is 8.5 nm wide at 0 V: a stop on
+        # a predicted error of _XTOL + _RTOL*w, 1e-18 m being 1.2e-10 of
+        # that width, puts warm widths 3.2e-11 from cold ones
+        profile = GaussianProfile(n0=2.375198852632017e25, l_d=4.375842260964055e-7,
+                                  n_b=7.2598171651523845e22)
+        spec = JunctionSpec(material=SI, profile=profile)
+        v_max = validity_window(spec).v_max_reverse
+        targets = [w_sc_general(spec, Bias(v_max * 0.98 * i / 49.0, "reverse")).total_potential
+                   for i in range(50)]
+        warm = _grid(ChargeProfile.paper(profile), SI.eps, spec.x_j, targets)
+        assert warm[0].width < 1e-8
+        _assert_agree(warm, _cold(lambda: ChargeProfile.paper(profile), SI.eps,
+                                  spec.x_j, targets))
+
     def test_misses_solve_cold(self):
         # a solve continues only on the same profile object with an equal
         # eps and x_start; anything else gives the cold solution's bits
@@ -404,7 +424,8 @@ class TestContinuation:
         # the next, lower target; that solve searches out from the origin
         # as a cold one does (6 619 evaluations with the doubled probe;
         # 28 427 when it took Newton steps from the origin, each first
-        # increment one quadrature across ~100 L_d)
+        # increment one quadrature across ~100 L_d; 5 669 when a search
+        # stopped only on a step within _XTOL + _RTOL*w)
         profile = GaussianProfile(n0=1e26, l_d=1e-7, n_b=1e20)
         spec = JunctionSpec(material=SI, profile=profile)
         targets = [0.5 + (spec.v_bi + 9.5) * i / 40 for i in range(40, -1, -1)]
@@ -412,7 +433,23 @@ class TestContinuation:
         net, xs = _counted(base.fn)
         rho = ChargeProfile(fn=net, steps=base.steps, scale=base.scale)
         warm = _grid(rho, SI.eps, spec.x_j, targets)
-        assert len(xs) <= 5725
+        assert len(xs) <= 4995
+        _assert_agree(warm, _cold(lambda: ChargeProfile.net_magnitude(profile), SI.eps,
+                                  spec.x_j, targets))
+
+    def test_convex_moment_ascending_grid(self):
+        # on a convex moment a Newton step from below lands above the
+        # root; the safeguarded Newton that starts there takes the step
+        # that reached it as the first of two Newton steps, and stops on
+        # their predicted error (2 857 evaluations when it did not)
+        profile = GaussianProfile(n0=1e24, l_d=1e-5, n_b=1e21)
+        spec = JunctionSpec(material=SI, profile=profile)
+        targets = [0.5 + (spec.v_bi + 9.5) * i / 40 for i in range(41)]
+        base = ChargeProfile.net_magnitude(profile)
+        net, xs = _counted(base.fn)
+        warm = _grid(ChargeProfile(fn=net, steps=base.steps, scale=base.scale), SI.eps,
+                     spec.x_j, targets)
+        assert len(xs) <= 2130
         _assert_agree(warm, _cold(lambda: ChargeProfile.net_magnitude(profile), SI.eps,
                                   spec.x_j, targets))
 
@@ -966,3 +1003,43 @@ def test_newton_helper_keeps_to_its_bracket():
                                                           if d else math.inf)
 
     assert abs(_newton_in_bracket(f_df, 0.0, 3.0, 1.5) - 1.0) <= 2e-15
+
+
+@pytest.mark.parametrize("c, expected", [(0.2, -1.0), (-1.0, -1.0), (0.4, math.nan)])
+def test_predicted_point(c, expected):
+    # x(f) = -1 + f + c*f^2 from f = -1 at x = -1 - 1 + c, with the slope
+    # f' = 1/x'(f) there and a second point at f = 1: the quadratic is
+    # exact, and its root x(0) = -1 is kept while it lies past x and
+    # within twice the Newton step (c <= 1/3), else nan
+    from junctionlab.momentsolver import _predicted_point
+
+    def x_of(f):
+        return -1.0 + f + c * f * f
+    got = _predicted_point(x_of(-1.0), -1.0, 1.0 / (1.0 - 2.0 * c), x_of(1.0), 1.0)
+    assert got == pytest.approx(expected, abs=1e-15, nan_ok=True)
+
+
+def test_newton_helper_stops_on_the_predicted_error():
+    # exp(x) - 2 from 0.5: the fourth point evaluated is 1.9e-8 from ln 2,
+    # and its Newton step, 1.9e-8 after one of 2.0e-4, predicts an error of
+    # 1.9e-16 there, within _RTOL*x; a stop on the step alone (within
+    # _XTOL + _RTOL*x) evaluates that next point too
+    from junctionlab.momentsolver import _RTOL, _newton_in_bracket
+    evals = []
+
+    def f_df(x):
+        evals.append(x)
+        return math.exp(x) - 2.0, math.exp(x)
+
+    root = _newton_in_bracket(f_df, 0.0, 1.0, 0.5)
+    assert abs(root - math.log(2.0)) <= _RTOL * root
+    assert len(evals) == 4
+    # the same fourth point, evaluated before the call and passed with the
+    # Newton step that reached it: its own step ends the search
+    xs = [0.5]
+    for _ in range(3):
+        xs.append(xs[-1] - (math.exp(xs[-1]) - 2.0) / math.exp(xs[-1]))
+    evals.clear()
+    root = _newton_in_bracket(f_df, 0.0, xs[3], xs[3], f_df(xs[3]), xs[3] - xs[2])
+    assert abs(root - math.log(2.0)) <= _RTOL * root
+    assert len(evals) == 1
