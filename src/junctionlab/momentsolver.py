@@ -27,13 +27,13 @@ from .doping import ChargeProfile
 from .errors import (StackExhaustedError, SurfaceReachedError,
                      UnreachablePotentialError)
 
-# QUADPACK's qk21 (Piessens et al., QUADPACK, Springer 1983), its published
-# 33 digits as the nearest doubles: the centre's Kronrod weight, then
-# (abscissa, Kronrod weight, Gauss weight) for the ten pairs of nodes +-x,
-# the 10-point Gauss nodes first, in qk21's order of summation; the other
-# Kronrod nodes have no Gauss weight
-_K21_CENTRE = 0.1494455540029169
-_GK21 = (
+# Gauss-Kronrod rules as (the centre's Kronrod weight, its Gauss weight,
+# then (abscissa, Kronrod weight, Gauss weight) for each pair of nodes +-x,
+# the Gauss nodes first, in QUADPACK's order of summation; the other
+# Kronrod nodes have no Gauss weight). _GK21 and _QK15 are QUADPACK's qk21
+# and qk15 (Piessens et al., QUADPACK, Springer 1983), their published 33
+# digits as the nearest doubles
+_GK21 = (0.1494455540029169, 0.0, (
     (0.9739065285171717, 0.032558162307964725, 0.06667134430868814),
     (0.8650633666889845, 0.07503967481091996, 0.1494513491505806),
     (0.6794095682990244, 0.10938715880229764, 0.21908636251598204),
@@ -44,8 +44,25 @@ _GK21 = (
     (0.7808177265864169, 0.0931254545836976, 0.0),
     (0.5627571346686047, 0.12349197626206584, 0.0),
     (0.2943928627014602, 0.14277593857706009, 0.0),
-)
-# qk21's error floor, relative to the integral of |f|
+))
+_QK15 = (0.20948214108472782, 0.4179591836734694, (
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+))
+# the 3-point Gauss rule and its 7-point Kronrod extension (Laurie, Math.
+# Comp. 66, 1997), exact to degree 11: the nearest doubles to a 50-digit
+# solve of its moment equations
+_QK7 = (0.45091653865847414, 0.8888888888888888, (
+    (0.7745966692414834, 0.26848808986833345, 0.5555555555555556),
+    (0.9604912687080203, 0.10465622602646726, 0.0),
+    (0.43424374934680254, 0.40139741477596225, 0.0),
+))
+# the rules' error floor, relative to the integral of |f|
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
 # the tolerances qagse is asked for, and its limit on panels
 _EPSABS, _EPSREL, _PANELS = 1e-30, 1e-12, 200
@@ -118,17 +135,18 @@ def _moment_integrand(rho: ChargeProfile, eps_of_x, centre: float = 0.0,
     return integrand
 
 
-def _qk21(f, a: float, b: float) -> tuple:
+def _qk(f, a: float, b: float, rule: tuple) -> tuple:
     """(integral, error estimate, integral of |f - mean|) of f on [a, b],
-    a <= b, by the 21-point Kronrod rule, its error taken from the
-    embedded 10-point Gauss rule as qk21 scales it, with qk21's roundoff
+    a <= b, by a Gauss-Kronrod ``rule``, its error taken from the embedded
+    Gauss rule as QUADPACK's qk15 and qk21 scale it, with their roundoff
     floor."""
+    k_centre, g_centre, nodes = rule
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     fc = f(centre)
-    resg, resk = 0.0, _K21_CENTRE * fc
+    resg, resk = g_centre * fc, k_centre * fc
     resabs = abs(resk)
     fv1, fv2 = [], []
-    for x, wk, wg in _GK21:
+    for x, wk, wg in nodes:
         dx = half * x
         f1, f2 = f(centre - dx), f(centre + dx)
         fv1.append(f1)
@@ -138,8 +156,8 @@ def _qk21(f, a: float, b: float) -> tuple:
         resk += wk * pair
         resabs += wk * (abs(f1) + abs(f2))
     mean = 0.5 * resk
-    resasc = _K21_CENTRE * abs(fc - mean)
-    for (_, wk, _), f1, f2 in zip(_GK21, fv1, fv2):
+    resasc = k_centre * abs(fc - mean)
+    for (_, wk, _), f1, f2 in zip(nodes, fv1, fv2):
         resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
     resabs *= half
     resasc *= half
@@ -149,18 +167,20 @@ def _qk21(f, a: float, b: float) -> tuple:
     return resk * half, max(err, _ROUNDOFF * resabs), resasc
 
 
-def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
+def _quad(fn: Callable[[float], float], a: float, b: float, rules: tuple = (_GK21,)) -> float:
     """Integral of fn over [a, b], a finite and b finite or inf.
 
-    Adaptive Gauss-Kronrod as QUADPACK's qagse runs it, without its
-    extrapolation: the first qk21 panel is kept if its error is within
-    max(1e-30, 1e-12*|integral|) and differs from its integral of
-    |f - mean| (an error equal to that is qk21's cap, not an estimate), or
-    is 0. Otherwise the panel with the largest error is bisected until the
-    errors sum to within that tolerance of the sum; if they do not once
-    200 panels are used, ArithmeticError names [a, b]. [a, inf) is
-    integrated over t in (0, 1] with x = a + (1 - t)/t. Only interior
-    nodes are evaluated, never a or b.
+    Each of the Gauss-Kronrod ``rules`` in turn gets one panel over the
+    whole interval, kept if its error is within max(1e-30,
+    1e-12*|integral|) and differs from its integral of |f - mean| (an
+    error equal to that is the rule's cap, not an estimate), or is 0: a
+    cheap rule first and a costlier one where it fails, as QUADPACK's qng
+    escalates. The last rule then runs adaptively as QUADPACK's qagse
+    runs it, without its extrapolation: the panel with the largest error
+    is bisected until the errors sum to within that tolerance of the sum;
+    if they do not once 200 panels are used, ArithmeticError names
+    [a, b]. [a, inf) is integrated over t in (0, 1] with x = a + (1 -
+    t)/t. Only interior nodes are evaluated, never a or b.
     """
     if b == math.inf:
         def f(t):
@@ -168,16 +188,17 @@ def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
         lo, hi = 0.0, 1.0
     else:
         f, lo, hi = fn, a, b
-    r, err, resasc = _qk21(f, lo, hi)
-    if err <= max(_EPSABS, _EPSREL * abs(r)) and err != resasc or err == 0.0:
-        return r
+    for rule in rules:
+        r, err, resasc = _qk(f, lo, hi, rule)
+        if err <= max(_EPSABS, _EPSREL * abs(r)) and err != resasc or err == 0.0:
+            return r
     area, errsum = r, err
     heap = [(-err, lo, hi, r)]
     for _ in range(_PANELS - 1):
         neg_err, lo, hi, r = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        r1, e1, _ = _qk21(f, lo, mid)
-        r2, e2, _ = _qk21(f, mid, hi)
+        r1, e1, _ = _qk(f, lo, mid, rule)
+        r2, e2, _ = _qk(f, mid, hi, rule)
         heapq.heappush(heap, (-e1, lo, mid, r1))
         heapq.heappush(heap, (-e2, mid, hi, r2))
         area += r1 + r2 - r
@@ -191,7 +212,7 @@ def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
 
 
 def _running_integral(fn: Callable[[float], float], origin: float,
-                      breaks, seed=()) -> Callable[[float], float]:
+                      breaks, seed=(), rules: tuple = (_GK21,)) -> Callable[[float], float]:
     """x -> integral of fn from origin to x, remembered at every x asked for.
 
     A new x is integrated only from the nearest remembered point between
@@ -199,10 +220,10 @@ def _running_integral(fn: Callable[[float], float], origin: float,
     away from the origin, never a difference taken from a point farther
     out, and asking again for a remembered x costs no quadrature. Each
     increment is split at the breaks inside it, and each piece integrated
-    by _quad, summed left to right. ``seed`` holds (x, value) pairs past
-    the origin, ascending, remembered from the start: an earlier integral
-    of the same fn from the same origin. The remembered (xs, values) are
-    the function's ``points``.
+    by _quad with ``rules``, summed left to right. ``seed`` holds (x,
+    value) pairs past the origin, ascending, remembered from the start: an
+    earlier integral of the same fn from the same origin. The remembered
+    (xs, values) are the function's ``points``.
     """
     xs, values = [origin, *(x for x, _ in seed)], [0.0, *(v for _, v in seed)]
 
@@ -213,7 +234,7 @@ def _running_integral(fn: Callable[[float], float], origin: float,
         lo, hi = (xs[i - 1], x) if x > origin else (x, xs[i])
         step = 0.0
         for p in (*sorted({p for p in breaks if lo < p < hi}), hi):
-            step += _quad(fn, lo, p)
+            step += _quad(fn, lo, p, rules)
             lo = p
         v = values[i - 1] + step if x > origin else values[i] - step
         xs.insert(i, x)
@@ -409,7 +430,7 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     cold solve grows the bracket from w = 0 by forward probes at twice the
     Newton step (doubling from scale/100 where that derivative is 0), and a
     safeguarded Newton finds the root inside it; the moment is integrated
-    only over each new increment.
+    only over each new increment, by qk21.
 
     A bias sweep continues from its last solve (Allgower & Georg,
     *Numerical Continuation Methods*, 1990, ch. 2): the module keeps the
@@ -427,10 +448,13 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     step. Then it corrects by plain Newton steps forward, each iterate with
     |moment| < target the new lower end, until _converged stops it or an
     iterate reaches the target; the safeguarded Newton then starts from
-    the upper end, evaluated. Otherwise it starts from w = 0 as a cold
-    solve does, inside [0, upper end] when the seed gives one. A warm
-    result agrees with a cold one, on a newly built rho, within the
-    quadrature's tolerance, not bit for bit; any other solve is cold.
+    the upper end, evaluated. A warm solve's increments are short and
+    smooth: each is integrated by Kronrod's 7-point rule, and by qk15,
+    adaptively, where that rule's one panel fails its error test.
+    Otherwise it starts from w = 0 as a cold solve does, inside [0, upper
+    end] when the seed gives one, with qk21. A warm result agrees with a
+    cold one, on a newly built rho, within the quadrature's tolerance, not
+    bit for bit; any other solve is cold.
 
     ``moment_value`` costs no quadrature: the search returns w one step d
     past the last point w0 it evaluated, and the moment there is one
@@ -463,7 +487,8 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
             break
         w_start = w
     integrand = _moment_integrand(rho, eps_of_x, origin=x_start)
-    moment = _running_integral(integrand, 0.0, [p - x_start for p in breaks], seed)
+    rules = (_QK7, _QK15) if w_start > 0.0 else (_GK21,)
+    moment = _running_integral(integrand, 0.0, [p - x_start for p in breaks], seed, rules)
     near = None  # (w, moment, integrand) at the last point evaluated
 
     def f_df(w):
