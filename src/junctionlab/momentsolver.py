@@ -192,6 +192,7 @@ def _quad(fn: Callable[[float], float], a: float, b: float, rules: tuple = (_GK2
         r, err, resasc = _qk(f, lo, hi, rule)
         if err <= max(_EPSABS, _EPSREL * abs(r)) and err != resasc or err == 0.0:
             return r
+    # the last rule's panel is the first to bisect
     area, errsum = r, err
     heap = [(-err, lo, hi, r)]
     for _ in range(_PANELS - 1):

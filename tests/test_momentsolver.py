@@ -102,8 +102,16 @@ def _counted(fn):
     return f, xs
 
 
+def _full_rule(rule) -> list:
+    """(node, Kronrod weight, Gauss weight) of a rule over [-1, 1], ascending."""
+    k_centre, g_centre, nodes = rule
+    return sorted([(0.0, k_centre, g_centre),
+                   *((s * x, wk, wg) for x, wk, wg in nodes for s in (-1.0, 1.0))])
+
+
 class TestQuadratureRule:
-    """momentsolver._quad, QUADPACK's qk21 run adaptively as qagse runs it."""
+    """momentsolver._quad: QUADPACK's qk21 run adaptively as qagse runs it,
+    or, for a warm increment, a panel of Kronrod's 7-point rule before qk15."""
 
     def test_gauss_nodes_and_weights(self):
         gauss = [(x, wg) for x, _, wg in momentsolver._GK21[2] if wg]
@@ -122,6 +130,46 @@ class TestQuadratureRule:
             exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
             got = momentsolver._qk(lambda x: x ** k, a, b, momentsolver._GK21)[0]
             assert abs(got - exact) <= 1e-14 * abs(exact), k
+
+    @pytest.mark.parametrize("rule, n", [("_QK15", 7), ("_QK7", 3)])
+    def test_embedded_gauss_rules(self, rule, n):
+        # each short rule's Gauss part is the n-point Gauss rule, centre
+        # included, and its Kronrod weights integrate 1 over [-1, 1] to 2
+        full = _full_rule(getattr(momentsolver, rule))
+        assert len(full) == 2 * n + 1
+        gauss = [(x, wg) for x, _, wg in full if wg]
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert_allclose([x for x, _ in gauss], x_ref, rtol=0, atol=2e-16)
+        assert_allclose([wg for _, wg in gauss], w_ref, rtol=0, atol=4e-16)
+        assert abs(sum(wk for _, wk, _ in full) - 2.0) <= 4e-16
+
+    @pytest.mark.parametrize("rule, degree", [("_QK15", 23), ("_QK7", 11)])
+    @pytest.mark.parametrize("a, b", [(0.5, 2.0), (-3.0, -1.0), (3.0, 3.5), (1e-3, 1.0)])
+    def test_short_rules_exact_to_their_degree(self, rule, degree, a, b):
+        for k in range(degree + 1):
+            exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+            got = momentsolver._qk(lambda x: x ** k, a, b, getattr(momentsolver, rule))[0]
+            assert abs(got - exact) <= 1e-14 * abs(exact), k
+
+    def test_kronrod_7_point_extension_from_its_moment_equations(self):
+        # the 3-point Gauss rule's Kronrod extension adds the nodes +-a,
+        # +-b; its six weights and two nodes solve the even moment
+        # equations to degree 10, and the rule is exact to degree 11 only
+        with mpmath.workdps(50):
+            g = mpmath.sqrt(mpmath.mpf(3) / 5)
+
+            def residual(k, a, b, w0, wg, wa, wb):
+                return ((w0 if k == 0 else 0) + 2 * (wg * g ** k + wa * a ** k + wb * b ** k)
+                        - mpmath.mpf(2) / (k + 1))
+
+            root = mpmath.findroot(lambda *v: [residual(k, *v) for k in range(0, 11, 2)],
+                                   (0.96, 0.43, 0.45, 0.27, 0.10, 0.40))
+            assert all(abs(residual(k, *root)) <= 1e-40 for k in range(0, 11, 2))
+            assert abs(residual(12, *root)) > 1e-4
+            a, b, w0, wg, wa, wb = (float(v) for v in root)
+        k_centre, _, nodes = momentsolver._QK7
+        assert k_centre == w0
+        assert [(x, wk) for x, wk, _ in nodes] == [(float(g), wg), (a, wa), (b, wb)]
 
     def test_agrees_with_quadpack_on_solver_integrands(self):
         from scipy.integrate import quad
@@ -183,6 +231,27 @@ class TestQuadratureRule:
             momentsolver._quad(f, 0.0, 1.0)
         assert len(xs) == 21 * (2 * momentsolver._PANELS - 1)
 
+    @pytest.mark.parametrize("fn", [lambda x: math.exp(-x * x), lambda x: abs(x - 0.3)],
+                             ids=["smooth", "kink"])
+    def test_escalation_reruns_with_qk15(self, fn):
+        # on [0, 1] the 7-point panel fails its error test, and the result is
+        # qk15's, run adaptively (one panel when smooth, bisected at the
+        # kink), after the 7 evaluations of the failed panel
+        f, xs = _counted(fn)
+        escalated = momentsolver._quad(f, 0.0, 1.0, (momentsolver._QK7, momentsolver._QK15))
+        g, xs_ref = _counted(fn)
+        assert escalated == momentsolver._quad(g, 0.0, 1.0, (momentsolver._QK15,))
+        assert len(xs) == len(xs_ref) + 7
+
+    def test_escalation_keeps_a_passing_7_point_panel(self):
+        # exp over a short interval, as a warm increment is: one panel of 7
+        f, xs = _counted(math.exp)
+        got = momentsolver._quad(f, 1.0, 1.001, (momentsolver._QK7, momentsolver._QK15))
+        assert len(xs) == 7
+        with mpmath.workdps(40):
+            exact = float(mpmath.exp(mpmath.mpf(1.001)) - mpmath.exp(1))
+        assert_allclose(got, exact, rtol=1e-15)
+
     def test_worked_junction_rho_evaluations(self):
         # the oracle's machine-independent cost on the worked junction (111
         # and 1 224 when a root search stopped only on a step within
@@ -201,8 +270,9 @@ class TestQuadratureRule:
         # 5 152 when a warm solve probed at twice the Newton step and spent
         # a panel on its root's moment, 3 768 when its first point was the
         # tangent step from the last root and it stopped only on a step
-        # within _XTOL + _RTOL*w)
-        assert _worked_bias_grid_rho_evaluations(range(50)) <= 2561
+        # within _XTOL + _RTOL*w, 2 536 when a warm increment got qk21
+        # panels, not a 7-point panel before qk15)
+        assert _worked_bias_grid_rho_evaluations(range(50)) <= 1051
 
     def test_worked_junction_descending_bias_grid_rho_evaluations(self):
         # the same grid run downwards (6 187 with the probe and the panel,
@@ -425,7 +495,8 @@ class TestContinuation:
         # as a cold one does (6 619 evaluations with the doubled probe;
         # 28 427 when it took Newton steps from the origin, each first
         # increment one quadrature across ~100 L_d; 5 669 when a search
-        # stopped only on a step within _XTOL + _RTOL*w)
+        # stopped only on a step within _XTOL + _RTOL*w; 4 945 when a warm
+        # increment got qk21 panels)
         profile = GaussianProfile(n0=1e26, l_d=1e-7, n_b=1e20)
         spec = JunctionSpec(material=SI, profile=profile)
         targets = [0.5 + (spec.v_bi + 9.5) * i / 40 for i in range(40, -1, -1)]
@@ -433,7 +504,7 @@ class TestContinuation:
         net, xs = _counted(base.fn)
         rho = ChargeProfile(fn=net, steps=base.steps, scale=base.scale)
         warm = _grid(rho, SI.eps, spec.x_j, targets)
-        assert len(xs) <= 4995
+        assert len(xs) <= 3934
         _assert_agree(warm, _cold(lambda: ChargeProfile.net_magnitude(profile), SI.eps,
                                   spec.x_j, targets))
 
@@ -441,7 +512,8 @@ class TestContinuation:
         # on a convex moment a Newton step from below lands above the
         # root; the safeguarded Newton that starts there takes the step
         # that reached it as the first of two Newton steps, and stops on
-        # their predicted error (2 857 evaluations when it did not)
+        # their predicted error (2 857 evaluations when it did not, 2 109
+        # when a warm increment got qk21 panels)
         profile = GaussianProfile(n0=1e24, l_d=1e-5, n_b=1e21)
         spec = JunctionSpec(material=SI, profile=profile)
         targets = [0.5 + (spec.v_bi + 9.5) * i / 40 for i in range(41)]
@@ -449,9 +521,28 @@ class TestContinuation:
         net, xs = _counted(base.fn)
         warm = _grid(ChargeProfile(fn=net, steps=base.steps, scale=base.scale), SI.eps,
                      spec.x_j, targets)
-        assert len(xs) <= 2130
+        assert len(xs) <= 900
         _assert_agree(warm, _cold(lambda: ChargeProfile.net_magnitude(profile), SI.eps,
                                   spec.x_j, targets))
+
+    @pytest.mark.parametrize("n0, l_d, n_b", [(1e24, 1e-5, 1e21), (5e23, 3e-7, 2.5e23),
+                                              (1e25, 3e-6, 1e22), (1.0000001e21, 1e-5, 1e21)])
+    def test_paper_grids_against_mpmath(self, n0, l_d, n_b):
+        # the paper moment from x_j is q*N0*L^2/(2*eps)*[exp(-x_j^2/L^2) -
+        # exp(-(x_j + w)^2/L^2)], so the width at a target is analytic; the
+        # panel's 41-point grids, up and down, each on one profile
+        profile = GaussianProfile(n0=n0, l_d=l_d, n_b=n_b)
+        spec = JunctionSpec(material=SI, profile=profile)
+        grid = [0.5 + (spec.v_bi + 9.5) * i / 40 for i in range(41)]
+        with mpmath.workdps(50):
+            length, x_j = mpmath.mpf(l_d), mpmath.mpf(spec.x_j)
+            pref = mpmath.mpf(Q) * n0 * length ** 2 / (2 * mpmath.mpf(SI.eps))
+            for targets in (grid, grid[::-1]):
+                warm = _grid(ChargeProfile.paper(profile), SI.eps, spec.x_j, targets)
+                for t, sol in zip(targets, warm):
+                    a = mpmath.exp(-(x_j / length) ** 2) - t / pref
+                    w = length * mpmath.sqrt(-mpmath.log(a)) - x_j
+                    assert abs(sol.width - w) <= 2e-15 * w, t
 
     @pytest.mark.parametrize("model", ["paper", "net_magnitude"])
     @pytest.mark.parametrize("n0, l_d, n_b", [(1e24, 1e-5, 1e21), (5e23, 3e-7, 2.5e23),
