@@ -102,13 +102,6 @@ def _counted(fn):
     return f, xs
 
 
-def _full_rule(rule) -> list:
-    """(node, Kronrod weight, Gauss weight) of a rule over [-1, 1], ascending."""
-    k_centre, g_centre, nodes = rule
-    return sorted([(0.0, k_centre, g_centre),
-                   *((s * x, wk, wg) for x, wk, wg in nodes for s in (-1.0, 1.0))])
-
-
 class TestQuadratureRule:
     """momentsolver._quad: QUADPACK's qk21 run adaptively as qagse runs it,
     or, for a warm increment, a panel of Kronrod's 7-point rule before qk15."""
@@ -135,7 +128,9 @@ class TestQuadratureRule:
     def test_embedded_gauss_rules(self, rule, n):
         # each short rule's Gauss part is the n-point Gauss rule, centre
         # included, and its Kronrod weights integrate 1 over [-1, 1] to 2
-        full = _full_rule(getattr(momentsolver, rule))
+        k_centre, g_centre, nodes = getattr(momentsolver, rule)
+        full = sorted([(0.0, k_centre, g_centre),
+                       *((s * x, wk, wg) for x, wk, wg in nodes for s in (-1.0, 1.0))])
         assert len(full) == 2 * n + 1
         gauss = [(x, wg) for x, _, wg in full if wg]
         x_ref, w_ref = np.polynomial.legendre.leggauss(n)
@@ -153,8 +148,9 @@ class TestQuadratureRule:
 
     def test_kronrod_7_point_extension_from_its_moment_equations(self):
         # the 3-point Gauss rule's Kronrod extension adds the nodes +-a,
-        # +-b; its six weights and two nodes solve the even moment
-        # equations to degree 10, and the rule is exact to degree 11 only
+        # +-b; those two and its four weights solve the six even moment
+        # equations through degree 10, and the rule is exact to degree 11
+        # only
         with mpmath.workdps(50):
             g = mpmath.sqrt(mpmath.mpf(3) / 5)
 
