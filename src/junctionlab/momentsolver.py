@@ -303,18 +303,16 @@ def _newton_in_bracket(f_df, neg: float, pos: float, x: float,
         x = x_new
 
 
-def _forward_probe(origin: float, x: float, fx: float, dfx: float, scale: float,
-                   warm: bool) -> float:
-    """Next point past x, where an increasing f is still negative, in the
-    search for a bracket: twice the Newton step, or ``warm`` the Newton
-    point itself, but no farther than the larger of ``scale`` and the
-    distance from ``origin``; where that step is not finite and forward,
-    the distance from ``origin`` doubles (starting at scale/100)."""
+def _forward_probe(x: float, fx: float, dfx: float, scale: float, warm: bool) -> float:
+    """Next point past x >= 0, where an increasing f is still negative, in
+    the search for a bracket: twice the Newton step, or ``warm`` the Newton
+    point itself, but no farther than the larger of ``scale`` and x; where
+    that step is not finite and forward, x doubles (from scale/100)."""
     newton = _newton_point(x, fx, dfx)
     if x < newton < math.inf:
-        cap = max(x - origin, scale)
+        cap = max(x, scale)
         return newton if warm and newton - x <= cap else x + min(2.0 * (newton - x), cap)
-    return x + max(x - origin, scale / 100.0)
+    return x + max(x, scale / 100.0)
 
 
 def _predicted_point(x: float, fx: float, dfx: float, x_p: float, f_p: float) -> float:
@@ -331,11 +329,10 @@ def _predicted_point(x: float, fx: float, dfx: float, x_p: float, f_p: float) ->
     return guess if x < guess <= x + 2.0 * (newton - x) else math.nan
 
 
-def _solve_outward(f_df, supremum, origin: float, start: tuple, scale: float,
-                   limit: float, end: float, target: float,
-                   upper: float = math.inf, previous: tuple = ()) -> float:
-    """Root past origin of f = |moment| - target, with ``f_df(x)`` giving
-    f and f', from ``start`` = (x, f, f') at or past origin with f < 0:
+def _solve_outward(f_df, supremum, start: tuple, scale: float, limit: float, end: float,
+                   target: float, upper: float = math.inf, previous: tuple = ()) -> float:
+    """Root past 0 of f = |moment| - target, with ``f_df(x)`` giving f
+    and f', from ``start`` = (x, f, f') with x >= 0 and f < 0:
     forward probes up to ``limit``, the domain's end in the unknown, until
     f >= 0, then _newton_in_bracket. ``upper``, if finite, is a point past
     start where f >= 0 is already known: the bracket is [start, upper] and
@@ -363,7 +360,7 @@ def _solve_outward(f_df, supremum, origin: float, start: tuple, scale: float,
     b = _predicted_point(*start, *previous) if previous else math.nan
     while upper == math.inf:
         if not lo < b:
-            b = _forward_probe(origin, lo, f_lo, df_lo, scale, bool(previous))
+            b = _forward_probe(lo, f_lo, df_lo, scale, bool(previous))
         b = min(b, limit)
         step = b - lo if b == _newton_point(lo, f_lo, df_lo) else 0.0
         if previous and b < limit and _converged(b - lo, newton if step else 0.0, b):
@@ -376,8 +373,7 @@ def _solve_outward(f_df, supremum, origin: float, start: tuple, scale: float,
             raise StackExhaustedError(
                 f"SCR would extend past the stack end at {end:g} m "
                 f"(moment reaches only {fb + target:g} of {target:g} V)")
-        w = b - origin
-        if (fb - f_lo <= 1e-14 * target and w > 10.0 * scale) or w / scale > 1e15:
+        if (fb - f_lo <= 1e-14 * target and b > 10.0 * scale) or b / scale > 1e15:
             # the probes have integrated the near field, so the supremum
             # needs only the tail from the last of them to the domain's end
             sup = supremum()
@@ -394,13 +390,11 @@ def _solve_outward(f_df, supremum, origin: float, start: tuple, scale: float,
 class ScrSolution:
     x_left: float
     x_right: float
-    # the SCR's width as solved: the one-sided solve's unknown, which keeps
-    # its digits where x_right - x_left would round to ulps of x_left
+    # the SCR's width as solved, in offsets from x_start or x_j: it keeps
+    # its digits where x_right - x_left rounds to ulps of them
     width: float
-    # |moment| over the SCR in volts: the two-sided solve's centred moment;
-    # the one-sided one's is a Taylor step from the last point its root
-    # search evaluated, one step short of the width, within ~M'*_RTOL*width
-    # of the moment there
+    # |moment| over the SCR in volts (centred on x_j two-sided): a Taylor
+    # step from the last point evaluated, within ~M'*_RTOL*width of it
     moment_value: float
 
 
@@ -501,8 +495,8 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     m_start = abs(near[1])
     # a warm solve passes the last solve's start as (w, f)
     previous = (last[4][0], last[4][1] - target) if w_start > 0.0 else ()
-    w = _solve_outward(f_df, lambda: abs(moment(limit)), 0.0, start, rho.scale, limit, end,
-                       target, upper, previous)
+    w = _solve_outward(f_df, lambda: abs(moment(limit)), start, rho.scale, limit, end, target,
+                       upper, previous)
     w_near, m_near, slope = near
     value = m_near + slope * (w - w_near)
     xs, values = moment.points
@@ -517,62 +511,94 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
     """Find (x_left, x_right) straddling x_j satisfying charge neutrality
     and |moment| = target simultaneously.
 
-    rho must be a signed net-model profile changing sign at x_j. The
-    charge and the moment centred on x_j, integral of (x - x_j)*rho/eps,
-    are running integrals from x_j. A safeguarded Newton on x_right, with
-    derivative rho(x_right)*[(x_right - x_j)/eps(x_right) - (x_left -
-    x_j)/eps(x_left)], wraps one on x_left for neutrality, with derivative
-    rho(x_left), started from the pair of the last evaluation along
-    dx_left/dx_right = rho(x_right)/rho(x_left), and before the first at
-    the mirror image 2*x_j - x_right. ``width`` is x_right - x_left, and
-    ``moment_value`` the centred moment, which equals the moment of a
-    neutral region of constant permittivity. Raises SurfaceReachedError
-    when neutrality would push x_left below 0, StackExhaustedError when
-    x_right would leave the stack, and UnreachablePotentialError with the
-    supremum, the moment of the neutral region ending at the domain's end.
+    rho must be a signed net-model profile changing sign at x_j; the charge
+    and the moment centred on x_j are running integrals from x_j, split as
+    in moment_integral. With Q_l, Q_r the charge on either side and M the
+    moment, Newton's method solves ln(Q_r/Q_l) = 0 and ln(|M|/target) = 0
+    in the logs of the offsets w_l = x_j - x_left and w_r = x_right - x_j
+    (``width`` is w_l + w_r), where both are near linear, with the exact
+    Jacobian: rows (-w_l*rho_l/Q_l, w_r*rho_r/Q_r) and (w_l^2*rho_l/eps_l,
+    w_r^2*rho_r/eps_r)/M in magnitudes. It starts at the linearly graded
+    junction's w = (12*eps*V/a)^(1/3)/2 each side, a the slope of |rho|
+    past x_j, and halves a step that leaves w_l < x_j or the domain, spans
+    no sign change of rho, or does not reduce the squared residuals
+    (Dennis & Schnabel, ch. 6). It stops as solve_one_sided does, on the
+    larger step in the logs, or once x_j -+ w stop moving, all that rho's
+    argument resolves; ``moment_value`` is a Taylor step in w.
+
+    Past the domain's end, StackExhaustedError (rho not 0 at a finite end)
+    or UnreachablePotentialError unless the neutral region ending there
+    holds the target (checked too where rho is 0 at x_right); where x_left
+    would pass the surface and the diffused side cannot balance x_right,
+    SurfaceReachedError unless the neutral region from the surface does.
     """
     eps_of_x, breaks, end = _domain(rho, eps, x_j, x_j)
-    if not x_j > 0.0:
-        raise ValueError(f"x_j must be finite and positive, got {x_j}")
+    if not (x_j > 0.0 and 0.0 < target < math.inf):
+        raise ValueError(f"x_j and the target must be finite and positive, got {x_j}, {target}")
+    breaks = (*breaks, *(x_j + d * rho.scale * k for k in _NEAR_SPLITS for d in (-1, 1)))
     charge = _running_integral(rho.fn, x_j, breaks)
     moment = _running_integral(_moment_integrand(rho, eps_of_x, x_j), x_j, breaks)
-    last = None  # (x_right, x_left, rho(x_right), rho(x_left)) of the last f_df
 
-    def left_for(xr, q_r):
-        # neutrality: charge(x_left) = charge(x_right); x_left stays at the
-        # surface once the whole diffused side cannot balance the right
-        h_surface, h_j = charge(0.0) - q_r, -q_r
-        if h_surface * h_j >= 0.0:
-            return 0.0
-        guess = 2.0 * x_j - xr  # exact for a profile odd about x_j
-        if last and last[3]:
-            xr_last, xl_last, rho_r, rho_l = last
-            guess = xl_last + (xr - xr_last) * rho_r / rho_l
-        neg, pos = (0.0, x_j) if h_surface < 0.0 else (x_j, 0.0)
-        return _newton_in_bracket(lambda x: (charge(x) - q_r, rho.fn(x)), neg, pos, guess)
+    def across(x, b):
+        # where charge = charge(x) between x_j and b, or b if charge(b) falls short
+        q = charge(x)
+        if (charge(b) - q) * q <= 0.0:
+            return b
+        neg, pos = (x_j, b) if q > 0.0 else (b, x_j)
+        return _newton_in_bracket(lambda y: (charge(y) - q, rho.fn(y)), neg, pos, 2.0 * x_j - x)
 
-    def f_df(xr):
-        nonlocal last
-        xl = left_for(xr, charge(xr))
-        rho_r, rho_l = rho.fn(xr), rho.fn(xl)
-        last = xr, xl, rho_r, rho_l
-        c = moment(xr) - moment(xl)
-        slope = (xr - x_j) / eps_of_x(xr)
-        if xl > 0.0:
-            slope -= (xl - x_j) / eps_of_x(xl)
-        dc = rho_r * slope
-        return abs(c) - target, dc if c > 0.0 else -dc
+    def check(xr):
+        # raises where no neutral region holds the target: past the domain's end or the surface
+        if not (xr <= end and rho.fn(xr)):
+            sup = abs(moment(end) - moment(across(end, 0.0)))
+            if target >= sup and end < math.inf and rho.fn(end):
+                raise StackExhaustedError(f"SCR would extend past the stack end at {end:g} m "
+                                          f"(moment reaches only {sup:g} of {target:g} V)")
+            if target >= sup:
+                raise UnreachablePotentialError(f"target {target:g} V exceeds supremum {sup:g} V",
+                                                supremum=sup)
+        if xr <= end and not across(xr, 0.0):
+            x_s = across(0.0, xr)
+            if x_s == xr or target > abs(moment(x_s) - moment(0.0)):
+                raise SurfaceReachedError(f"SCR reaches the surface: right boundary {xr:g} m "
+                                          f"needs more compensating charge than exists above x_j")
 
-    x_right = _solve_outward(f_df, lambda: abs(moment(end) - moment(left_for(end, charge(end)))),
-                             x_j, (x_j, -target, 0.0), rho.scale, end, end, target)
-    q_right = charge(x_right)
-    if (charge(0.0) - q_right) * q_right < 0.0:
-        raise SurfaceReachedError(
-            f"SCR reaches the surface: right boundary {x_right:g} m needs more "
-            f"compensating charge than exists above x_j")
-    x_left = left_for(x_right, q_right)
-    return ScrSolution(x_left=x_left, x_right=x_right, width=x_right - x_left,
-                       moment_value=abs(moment(x_right) - moment(x_left)))
+    slope = abs(rho.fn(x_j + 1e-3 * rho.scale)) / (1e-3 * rho.scale)
+    w0 = 0.5 * (12.0 * eps_of_x(x_j) * target / slope) ** (1.0 / 3.0) if slope else rho.scale
+    # the last point evaluated (the start, of infinite residual, at first)
+    # and the Newton step from it in (ln w_l, ln w_r)
+    wl, wr, ul, ur = min(w0, 0.5 * x_j), min(w0, 0.5 * (end - x_j)), 0.0, 0.0
+    res, newton = math.inf, 0.0
+    while True:
+        for lam in (0.5 ** k for k in range(100)):
+            tl, tr = wl * math.exp(lam * ul), wr * math.exp(lam * ur)
+            xl, xr, step = x_j - tl, x_j + tr, max(abs(ul), abs(ur))
+            if not (tl < x_j and xr <= end):
+                check(xr)
+                continue
+            if res < math.inf and ((xl == x_j - wl and xr == x_j + wr)
+                                   or (lam == 1.0 and _converged(step, newton, 1.0))):
+                return ScrSolution(x_left=xl, x_right=xr, width=tl + tr,
+                                   moment_value=m_abs + sl * (tl - wl) + sr * (tr - wr))
+            ql, qr, m = charge(xl), charge(xr), moment(xr) - moment(xl)
+            rho_l, rho_r = rho.fn(xl), rho.fn(xr)
+            if not (rho_l * rho_r < 0.0 < ql * qr and m):
+                check(xr)
+                continue
+            g1, g2 = math.log(qr / ql), math.log(abs(m) / target)
+            if g1 * g1 + g2 * g2 < res:
+                break
+        else:
+            raise ArithmeticError(f"no two-sided Newton step from [{x_j - wl:g}, {x_j + wr:g}] m "
+                                  f"(rho must change sign at x_j)")
+        newton = step if lam == 1.0 else 0.0
+        wl, wr, res, m_abs = tl, tr, g1 * g1 + g2 * g2, abs(m)
+        # d|M|/dw, then the logarithmic slopes of each side's charge and of |M|
+        sl, sr = wl * abs(rho_l) / eps_of_x(xl), wr * abs(rho_r) / eps_of_x(xr)
+        cl, cr = wl * abs(rho_l / ql), wr * abs(rho_r / qr)
+        el, er = wl * sl / m_abs, wr * sr / m_abs
+        det = cl * er + cr * el
+        ul, ur = (er * g1 - cr * g2) / det, -(el * g1 + cl * g2) / det
 
 
 @functools.cache
