@@ -12,7 +12,10 @@ Then, per junction and one-sided model, an ascending and a descending
 41-point grid of targets from 0.5 V to V_bi + 10 V, solved on one
 profile object, so that each solve continues from the last: one line
 each with a sha256 prefix of the widths' float.hex and the charge-density
-evaluations of the whole grid. A solve that raises prints the
+evaluations of the whole grid. Last, four two-sided lines in a Si/Ge
+stack whose Si layer ends past x_j: three junctions where a Newton step
+from the start lands past the stack end, and one whose target the stack
+cannot hold (StackExhaustedError). A solve that raises prints the
 exception's class and message instead. The last line is a sha256 over
 all lines before it.
 
@@ -23,9 +26,9 @@ panels do; compare two runs with diff.
 import dataclasses
 import hashlib
 
-from junctionlab import (ChargeProfile, GaussianProfile, JunctionSpec,
-                         ScrSolution, get_material, reconstruct_field_potential,
-                         solve_one_sided, solve_two_sided)
+from junctionlab import (ChargeProfile, GaussianProfile, HeteroStack, JunctionSpec,
+                         ScrSolution, get_material, junction_depth,
+                         reconstruct_field_potential, solve_one_sided, solve_two_sided)
 
 JUNCTIONS = [
     # (N0 m^-3, L_d m, N_B m^-3): the worked junction, three across the
@@ -35,6 +38,18 @@ JUNCTIONS = [
     (5e23, 3e-7, 2.5e23),
     (1e25, 3e-6, 1e22),
     (1.0000001e21, 1e-5, 1e21),
+]
+# (N0 m^-3, L_d m, N_B m^-3, target V, Si layer m, Ge layer m) in a
+# two-layer stack: the last one's SCR would pass the stack end
+STACKED = [
+    (3.852256979474014e25, 1.4431497627182993e-6, 1.0632138849696236e19, 6.080438458413013,
+     9.1970615221164e-6, 4.484612617767771e-5),
+    (1.8457006063587575e26, 2.0205548330130218e-8, 1.5319195174890042e20, 0.00841318755081368,
+     1.1960756640575865e-7, 3.564845641627856e-7),
+    (5.653537905063504e28, 6.49695685420635e-8, 6.121370181020992e21, 16.310653261377656,
+     7.739301773242846e-7, 1.5842511407792405e-6),
+    (3.852256979474014e25, 1.4431497627182993e-6, 1.0632138849696236e19, 30.0,
+     9.1970615221164e-6, 4.484612617767771e-5),
 ]
 SAMPLES = 201
 GRID_POINTS = 41
@@ -68,11 +83,11 @@ def _grid(rho: ChargeProfile, spec: JunctionSpec, targets) -> str:
     return f"widths={digest[:16]} rho={count[0]}"
 
 
-def _two_sided(profile: GaussianProfile, spec: JunctionSpec, target: float) -> str:
+def _two_sided(profile: GaussianProfile, eps, x_j: float, target: float) -> str:
     rho, count = _counted(ChargeProfile.net(profile))
-    sol = solve_two_sided(rho, spec.eps, spec.x_j, target)
+    sol = solve_two_sided(rho, eps, x_j, target)
     solve_count = count[0]
-    samples = reconstruct_field_potential(rho, spec.eps, sol.x_left, sol.x_right, SAMPLES)
+    samples = reconstruct_field_potential(rho, eps, sol.x_left, sol.x_right, SAMPLES)
     digest = hashlib.sha256("".join(f"{x.hex()},{e.hex()},{u.hex()}\n"
                                     for x, e, u in samples).encode()).hexdigest()
     return (f"{_fields(sol)} rho={solve_count} samples={digest[:16]} "
@@ -101,7 +116,7 @@ def main():
                                                            spec, t)),
                   ("one-sided net_magnitude",
                    lambda t: _one_sided(ChargeProfile.net_magnitude(profile), spec, t)),
-                  ("two-sided net", lambda t: _two_sided(profile, spec, t))]
+                  ("two-sided net", lambda t: _two_sided(profile, spec.eps, spec.x_j, t))]
         for label, target in targets:
             for name, solve in solves:
                 _record(lines, f"{n0!r} {l_d!r} {n_b!r} {label}={target.hex()} {name}",
@@ -112,6 +127,13 @@ def main():
                 make = getattr(ChargeProfile, model)
                 _record(lines, f"{n0!r} {l_d!r} {n_b!r} {order} grid one-sided {model}",
                         lambda: _grid(make(profile), spec, targets))
+    ge = get_material("Ge")
+    for n0, l_d, n_b, target, t_si, t_ge in STACKED:
+        profile = GaussianProfile(n0=n0, l_d=l_d, n_b=n_b)
+        stack = HeteroStack(layers=((si, t_si), (ge, t_ge)))
+        _record(lines, f"{n0!r} {l_d!r} {n_b!r} {target.hex()} Si {t_si!r} Ge {t_ge!r} "
+                       f"two-sided net",
+                lambda: _two_sided(profile, stack, junction_depth(profile), target))
     print("sha256", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 

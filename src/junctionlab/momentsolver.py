@@ -69,6 +69,8 @@ _EPSABS, _EPSREL, _PANELS = 1e-30, 1e-12, 200
 # a root search ends once a step is within _XTOL + _RTOL*|x|, or once two
 # Newton steps predict an error within _RTOL*|x| (_converged)
 _XTOL, _RTOL = 1e-18, 8.9e-16
+# ln of the largest float: e^u overflows past it
+_LOG_MAX = math.log(sys.float_info.max)
 # points per Chebyshev fit of rho/eps, tried in turn
 _CHEBYSHEV_SIZES = (17, 33, 65, 129)
 # multiples of rho.scale past an interval's start where moment_integral and
@@ -520,17 +522,24 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
     Jacobian: rows (-w_l*rho_l/Q_l, w_r*rho_r/Q_r) and (w_l^2*rho_l/eps_l,
     w_r^2*rho_r/eps_r)/M in magnitudes. It starts at the linearly graded
     junction's w = (12*eps*V/a)^(1/3)/2 each side, a the slope of |rho|
-    past x_j, and halves a step that leaves w_l < x_j or the domain, spans
-    no sign change of rho, or does not reduce the squared residuals
-    (Dennis & Schnabel, ch. 6). It stops as solve_one_sided does, on the
-    larger step in the logs, or once x_j -+ w stop moving, all that rho's
-    argument resolves; ``moment_value`` is a Taylor step in w.
+    past x_j, and takes plain Newton steps. One rule keeps them inside the
+    walls, the surface (w_l = x_j) and the domain's end: a step that would
+    put w_l at or past x_j, or x_right past the end, is checked there as
+    below, then each offset that crosses moves halfway to its wall, to a
+    point strictly inside; a cut step is no Newton step for the stop. A
+    trial where rho does not change sign or the charges cannot be compared
+    halves the step in the logs. The one exit is _converged, as in
+    solve_one_sided, on the larger Newton step in the logs;
+    ``moment_value`` is a Taylor step in w. ArithmeticError where 100
+    halvings leave no trial.
 
     Past the domain's end, StackExhaustedError (rho not 0 at a finite end)
     or UnreachablePotentialError unless the neutral region ending there
     holds the target (checked too where rho is 0 at x_right); where x_left
     would pass the surface and the diffused side cannot balance x_right,
     SurfaceReachedError unless the neutral region from the surface does.
+    An offset within rounding of its wall that a step carries past it has
+    reached the wall: SurfaceReachedError or StackExhaustedError.
     """
     eps_of_x, breaks, end = _domain(rho, eps, x_j, x_j)
     if not (x_j > 0.0 and 0.0 < target < math.inf):
@@ -565,40 +574,59 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
 
     slope = abs(rho.fn(x_j + 1e-3 * rho.scale)) / (1e-3 * rho.scale)
     w0 = 0.5 * (12.0 * eps_of_x(x_j) * target / slope) ** (1.0 / 3.0) if slope else rho.scale
-    # the last point evaluated (the start, of infinite residual, at first)
-    # and the Newton step from it in (ln w_l, ln w_r)
-    wl, wr, ul, ur = min(w0, 0.5 * x_j), min(w0, 0.5 * (end - x_j)), 0.0, 0.0
-    res, newton = math.inf, 0.0
+    # the last point evaluated (the start at first), the step from it in
+    # (ln w_l, ln w_r) and the trial it reaches, and whether that step was
+    # cut (the start is reached by none): only an uncut step is Newton's
+    wl, wr = min(w0, 0.5 * x_j), min(w0, 0.5 * (end - x_j))
+    tl, tr, ul, ur, cut = wl, wr, 0.0, 0.0, True
     while True:
         for lam in (0.5 ** k for k in range(100)):
-            tl, tr = wl * math.exp(lam * ul), wr * math.exp(lam * ur)
-            xl, xr, step = x_j - tl, x_j + tr, max(abs(ul), abs(ur))
-            if not (tl < x_j and xr <= end):
-                check(xr)
-                continue
-            if res < math.inf and ((xl == x_j - wl and xr == x_j + wr)
-                                   or (lam == 1.0 and _converged(step, newton, 1.0))):
-                return ScrSolution(x_left=xl, x_right=xr, width=tl + tr,
-                                   moment_value=m_abs + sl * (tl - wl) + sr * (tr - wr))
+            if lam < 1.0:
+                tl, tr = wl * math.exp(lam * ul), wr * math.exp(lam * ur)
+            xl, xr = x_j - tl, x_j + tr
             ql, qr, m = charge(xl), charge(xr), moment(xr) - moment(xl)
             rho_l, rho_r = rho.fn(xl), rho.fn(xr)
-            if not (rho_l * rho_r < 0.0 < ql * qr and m):
-                check(xr)
-                continue
-            g1, g2 = math.log(qr / ql), math.log(abs(m) / target)
-            if g1 * g1 + g2 * g2 < res:
+            if rho_l * rho_r < 0.0 < ql * qr and m:
                 break
+            check(xr)
         else:
             raise ArithmeticError(f"no two-sided Newton step from [{x_j - wl:g}, {x_j + wr:g}] m "
                                   f"(rho must change sign at x_j)")
-        newton = step if lam == 1.0 else 0.0
-        wl, wr, res, m_abs = tl, tr, g1 * g1 + g2 * g2, abs(m)
+        newton = 0.0 if cut or lam < 1.0 else max(abs(ul), abs(ur))
+        wl, wr, m_abs = tl, tr, abs(m)
+        g1, g2 = math.log(qr / ql), math.log(m_abs / target)
         # d|M|/dw, then the logarithmic slopes of each side's charge and of |M|
         sl, sr = wl * abs(rho_l) / eps_of_x(xl), wr * abs(rho_r) / eps_of_x(xr)
         cl, cr = wl * abs(rho_l / ql), wr * abs(rho_r / qr)
         el, er = wl * sl / m_abs, wr * sr / m_abs
         det = cl * er + cr * el
         ul, ur = (er * g1 - cr * g2) / det, -(el * g1 + cl * g2) / det
+        # the trial, each e^u capped at twice its wall (x_j for w_l, end - x_j
+        # for w_r) and at the largest float
+        tl = wl * math.exp(min(ul, math.log(2.0 * x_j / wl), _LOG_MAX))
+        tr = wr * math.exp(min(ur, math.log(2.0 * (end - x_j) / wr), _LOG_MAX))
+        cut = not (tl < x_j and x_j + tr <= end)
+        if cut:
+            # the wall rule: check decides at the step's x_right, then each
+            # offset the step carries to or past its wall moves halfway
+            # there, strictly between the point and the wall; an offset
+            # that cannot has reached its wall within rounding
+            check(x_j + tr)
+            if not tl < x_j:
+                tl = 0.5 * (wl + x_j)
+                if not wl < tl < x_j:
+                    raise SurfaceReachedError(f"SCR reaches the surface: x_left = {x_j - wl:g} m "
+                                              f"is within rounding of it")
+            if not x_j + tr <= end:
+                tr = 0.5 * (wr + (end - x_j))
+                if not (wr < tr and x_j + tr < end):
+                    raise StackExhaustedError(f"SCR would extend past the stack end at {end:g} m "
+                                              f"(x_right = {x_j + wr:g} m is within rounding "
+                                              f"of it)")
+            ul, ur = math.log(tl / wl), math.log(tr / wr)
+        elif _converged(max(abs(ul), abs(ur)), newton, 1.0):
+            return ScrSolution(x_left=x_j - tl, x_right=x_j + tr, width=tl + tr,
+                               moment_value=m_abs + sl * (tl - wl) + sr * (tr - wr))
 
 
 @functools.cache

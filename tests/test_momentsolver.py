@@ -1,4 +1,6 @@
+import collections
 import math
+import random
 import re
 import threading
 import time
@@ -751,6 +753,39 @@ class TestReconstruct:
             err = max(abs(s[1] - r) for s, r in zip(samples, ref))
             assert err <= 1e-13 * max(map(abs, ref)), (l_d, target, two_sided)
 
+    @pytest.mark.parametrize("profile, two_sided, target", [
+        (WORKED_PROFILE, False, 1e-9),
+        (GaussianProfile(n0=1e26, l_d=1e-4, n_b=1e22), True, 1e-12)])
+    def test_nodes_carried_back_to_the_exact_points(self, profile, two_sided, target):
+        # SCRs a few nm and 0.1 nm wide around x_j = 26 um and 0.3 mm, so
+        # each rounded Chebyshev node lies up to an ulp of x_j from its exact
+        # point; carried back along the first fit's slope, E is within
+        # 2.7e-16 of max|E| (1.2e-11 and 2.2e-11 without). The reference
+        # integrates the closure q*N_B*expm1((x_j - x)*(x_j + x)/L_d^2)/eps
+        # with its float x_j: the profile's own zero lies about an ulp
+        # away, which alone would cost ulp(x_j)/W
+        x_j = junction_depth(profile)
+        if two_sided:
+            rho, sign = ChargeProfile.net(profile), 1
+            sol = solve_two_sided(rho, SI.eps, x_j, target)
+        else:
+            rho, sign = ChargeProfile.net_magnitude(profile), -1
+            sol = solve_one_sided(rho, SI.eps, x_j, target)
+        samples = reconstruct_field_potential(rho, SI.eps, sol.x_left, sol.x_right)
+        with mpmath.workdps(40):
+            n_b, l_d, xj = (mpmath.mpf(v) for v in (profile.n_b, profile.l_d, x_j))
+
+            def closure_charge(x):
+                # integral of N_B*expm1((x_j - x)*(x_j + x)/L_d^2), less a constant
+                x = mpmath.mpf(x)
+                return n_b * (mpmath.exp((xj / l_d) ** 2) * l_d * mpmath.sqrt(mpmath.pi) / 2
+                              * mpmath.erf(x / l_d) - x)
+            left = closure_charge(sol.x_left)
+            ref = [sign * float((closure_charge(x) - left) * mpmath.mpf(Q) / mpmath.mpf(SI.eps))
+                   for x, _, _ in samples]
+        err = max(abs(s[1] - r) for s, r in zip(samples, ref))
+        assert err <= 1e-14 * max(map(abs, ref))
+
     def test_empty_interval_is_zero(self):
         assert reconstruct_field_potential(_NET, SI.eps, 2e-5, 2e-5, 5) == [(2e-5, 0.0, 0.0)] * 5
 
@@ -1024,6 +1059,127 @@ def test_two_sided_stack_exhausted():
         solve_two_sided(ChargeProfile.net(WORKED_PROFILE), _THIN_STACK, WORKED.x_j, 1e4)
     assert str(exc.value) == ("SCR would extend past the stack end at 0.0001 m "
                               "(moment reaches only 4867.23 of 10000 V)")
+
+
+class TestTwoSidedWalls:
+    """The two-sided solve in a Si/Ge stack, whose end and the surface are
+    walls its Newton steps may not cross."""
+
+    GE = get_material("Ge")
+
+    @pytest.mark.parametrize("n0, l_d, n_b, target, si, ge, nested", [
+        (3.852256979474014e25, 1.4431497627182993e-6, 1.0632138849696236e19, 6.080438458413013,
+         9.1970615221164e-6, 4.484612617767771e-5, 3.16446475783511e-5),
+        (1.7174825357927936e26, 8.01009196516032e-8, 1.0459786487410355e20, 0.21910180437957966,
+         3.3181961164390246e-7, 2.315090912171121e-6, 1.9196573710717827e-6),
+        (2.694253353830489e25, 6.100630930984798e-6, 1.579522585701691e19, 21.380886640236657,
+         5.3168559947899574e-5, 2.0155359171783453e-5, 4.539213774154724e-5),
+        (1.8457006063587575e26, 2.0205548330130218e-8, 1.5319195174890042e20, 0.00841318755081368,
+         1.1960756640575865e-7, 3.564845641627856e-7, 3.097212410285028e-7),
+        (1.336751160649373e26, 1.7348408955024306e-7, 1.7368642083195042e19, 0.8278318865393886,
+         7.148769608021608e-7, 9.424013197360966e-6, 9.163430400972537e-6),
+        (2.8725733569605684e27, 2.3582729718768058e-8, 3.1245687021660133e21, 1.197620188017641,
+         1.4307397771317739e-7, 7.665391534253593e-7, 8.207042472527328e-7),
+        (5.653537905063504e28, 6.49695685420635e-8, 6.121370181020992e21, 16.310653261377656,
+         7.739301773242846e-7, 1.5842511407792405e-6, 2.143256824695797e-6),
+        (5.088940165326457e28, 1.327933127159454e-8, 3.775064839851402e22, 0.9160271313459173,
+         1.3326600923641648e-7, 1.6847032874263955e-7, 2.0038723323640547e-7),
+    ])
+    def test_steps_past_the_stack_end(self, n0, l_d, n_b, target, si, ge, nested):
+        # a Newton step from the start lands past the stack end: a line
+        # search that halved the whole step crept to the end and stopped
+        # there once x_right stopped moving, with charges 96-99 % apart and
+        # |M| 6-17 times the target; cut halfway to the end, the solve
+        # finds the root inside, within 2 ulps of the width of a Newton
+        # search on x_right that solved neutrality at every point
+        profile = GaussianProfile(n0=n0, l_d=l_d, n_b=n_b)
+        x_j = junction_depth(profile)
+        stack = HeteroStack(layers=((SI, si), (self.GE, ge)))
+        sol = solve_two_sided(ChargeProfile.net(profile), stack, x_j, target)
+        neutrality, _ = net_reference(profile, x_j, sol.x_left, sol.x_right)
+        assert 0.0 < sol.x_left < x_j < sol.x_right < si + ge
+        assert neutrality <= 1e-9
+        assert abs(sol.moment_value - target) <= 1e-12 * target
+        assert abs(sol.width - nested) <= 1e-14 * nested
+
+    def test_stack_end_costs_a_newton_solve(self):
+        # the line search that halved every step crossing the stack end
+        # took 5 903 325 rho evaluations here (13.6 s) and returned a point
+        # whose charges were 95 % apart; cut at the wall, 1 249, within
+        # 2 ulps of the nested search's width (1 785 evaluations)
+        profile = GaussianProfile(n0=3.057219550010097e25, l_d=1.255501697247074e-8,
+                                  n_b=3.798338999645969e19)
+        x_j = junction_depth(profile)
+        stack = HeteroStack(layers=((SI, 8.360273877249883e-8), (self.GE, 1.1539611400453302e-6)))
+        net, xs = _counted(ChargeProfile.net(profile).fn)
+        sol = solve_two_sided(ChargeProfile(fn=net, scale=profile.l_d), stack, x_j,
+                              0.015254848488477638)
+        assert len(xs) <= 1300
+        neutrality, _ = net_reference(profile, x_j, sol.x_left, sol.x_right)
+        assert neutrality <= 1e-12
+        assert abs(sol.width - 8.410036496639277e-7) <= 1e-14 * sol.width
+
+    def test_seeded_panel_returns_roots_or_raises(self):
+        # 1 500 junctions across the acceptance ranges, half in a stack
+        # whose Si layer ends between x_j and 3 x_j: every solve either
+        # raises a JunctionError or returns a root (worst 5.6e-11 and
+        # 5.4e-14; with the line search, 5 returned points were no roots)
+        rng = random.Random(11)
+        outcomes = collections.Counter()
+        for _ in range(1500):
+            n_b = 10.0 ** rng.uniform(19, 23)
+            profile = GaussianProfile(n0=n_b * 10.0 ** rng.uniform(1e-7, 7),
+                                      l_d=10.0 ** rng.uniform(-8, -3), n_b=n_b)
+            target = 10.0 ** rng.uniform(-6, 2)
+            x_j = junction_depth(profile)
+            eps = SI.eps
+            if rng.random() < 0.5:
+                eps = HeteroStack(layers=((SI, x_j * rng.uniform(1.0001, 3)),
+                                          (self.GE, profile.l_d * rng.uniform(1, 100))))
+            try:
+                sol = solve_two_sided(ChargeProfile.net(profile), eps, x_j, target)
+            except JunctionError as e:
+                outcomes[type(e).__name__] += 1
+                continue
+            outcomes["root"] += 1
+            neutrality, _ = net_reference(profile, x_j, sol.x_left, sol.x_right)
+            assert neutrality <= 1e-9, (profile, target, eps)
+            assert abs(sol.moment_value - target) <= 1e-12 * target, (profile, target, eps)
+        assert set(outcomes) == {"root", "StackExhaustedError", "SurfaceReachedError"}
+
+    @pytest.mark.parametrize("n0, l_d, n_b, layers, edge, error", [
+        # a neutral region from the surface holds 20.04 V (as in
+        # test_two_sided_surface_decided_at_the_solution); at the first
+        # target past this edge x_left is an ulp of x_j from the surface
+        # and a step would cross it
+        (5e23, 3e-7, 2.5e23, None, 20.042925471727795, SurfaceReachedError),
+        # the stack of the first wall case holds 14.86 V, its SCR then
+        # ending at the stack end
+        (3.852256979474014e25, 1.4431497627182993e-6, 1.0632138849696236e19,
+         (9.1970615221164e-6, 4.484612617767771e-5), 14.858324139029161, StackExhaustedError),
+    ])
+    def test_targets_at_a_wall(self, n0, l_d, n_b, layers, edge, error):
+        # the 17 floats around the largest target a wall lets through:
+        # roots up to a point, the wall's error past it
+        profile = GaussianProfile(n0=n0, l_d=l_d, n_b=n_b)
+        x_j = junction_depth(profile)
+        eps = HeteroStack(layers=((SI, layers[0]), (self.GE, layers[1]))) if layers else SI.eps
+        targets = [edge]
+        for _ in range(8):
+            targets = [math.nextafter(targets[0], 0.0), *targets, math.nextafter(targets[-1], 30.0)]
+        outcomes = []
+        for target in targets:
+            try:
+                sol = solve_two_sided(ChargeProfile.net(profile), eps, x_j, target)
+            except error:
+                outcomes.append(False)
+                continue
+            outcomes.append(True)
+            neutrality, _ = net_reference(profile, x_j, sol.x_left, sol.x_right)
+            assert neutrality <= 1e-12, target
+            assert abs(sol.moment_value - target) <= 1e-15 * target, target
+        assert outcomes[0] and not outcomes[-1]
+        assert outcomes == sorted(outcomes, reverse=True)
 
 
 _STACK = HeteroStack(layers=((SI, 1e-6), (SI, 1e-3)))
