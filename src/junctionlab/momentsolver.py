@@ -679,17 +679,16 @@ def _chebyshev_fit(f, a: float, b: float) -> list:
     ArithmeticError names [a, b] if the series does not chop.
 
     f is sampled at 17, 33, 65, ... points of the first kind, all interior.
-    The series is accepted once the top quarter of its coefficients (the
-    tail) lies below 1e-10 of the largest and is at least half the
-    previous size's tail: a plateau of rounding noise (Aurentz & Trefethen,
-    ACM TOMS 43(4), 2017). A kink's tail falls fourfold per doubling and
-    never plateaus. Each node x~ = a + half*(1 + t) is rounded; its value is
-    then carried back to the exact node, f(x~) - f'(x~)*(x~ - x), with f'
-    from the first fit, and the series refitted and cut after its last
-    coefficient above the plateau.
+    A size is accepted once the top quarter of its coefficients lies below
+    1e-10 of the largest and is at least half the largest of the quarter
+    below it: a plateau of rounding noise within the one series (Aurentz &
+    Trefethen, ACM TOMS 43(4), 2017), where a geometric decay to 1e-10 falls
+    10^(10/3)-fold per quarter and a kink's k^-p about (2/3)^p. Each node
+    x~ = a + half*(1 + t) is rounded; its value is then carried back to the
+    exact node, f(x~) - f'(x~)*(x~ - x), with f' from the first fit, and the
+    series refitted and cut after its last coefficient above the plateau.
     """
     half = 0.5 * (b - a)
-    prev_tail = math.inf
     for n in _CHEBYSHEV_SIZES:
         rows, columns = _cosines(n)
         offsets = [half * (1.0 + t) for t in rows[1]]
@@ -700,7 +699,7 @@ def _chebyshev_fit(f, a: float, b: float) -> list:
         if not math.isfinite(scale):
             raise ArithmeticError(f"non-finite rho/eps on [{a:g}, {b:g}] m")
         tail = max(map(abs, c[-(n // 4):]))
-        if tail <= 1e-10 * scale and 2.0 * tail >= prev_tail:
+        if tail <= 1e-10 * scale and 2.0 * tail >= max(map(abs, c[-(n // 2):-(n // 4)])):
             d = _derivative(c)
             values = [v - sum(map(operator.mul, d, col)) * ((x - a) - h) / half
                       for v, col, x, h in zip(values, columns, xs, offsets)]
@@ -709,7 +708,6 @@ def _chebyshev_fit(f, a: float, b: float) -> list:
             while len(c) > 1 and abs(c[-1]) <= tail:
                 c.pop()
             return c
-        prev_tail = tail
     raise ArithmeticError(
         f"rho/eps does not resolve on [{a!r}, {b!r}] m: declare every point "
         f"where rho or its slope jumps in ChargeProfile.steps")
@@ -725,6 +723,7 @@ def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
     (rho.steps and the stack's interfaces) and at moment_integral's near
     splits x_left + rho.scale*(1, 3, 10, 30, 100). Between the declared
     breaks rho/eps must be smooth: each piece gets one Chebyshev series,
+    sized by its own coefficients (usually 17 + 33 evaluations of rho),
     integrated twice by the coefficient recurrence (chebfun's cumsum), and
     E and u carry across pieces as running sums. ArithmeticError names a
     piece whose series does not chop: it holds an undeclared kink or step.

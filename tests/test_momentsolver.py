@@ -676,14 +676,15 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("target", ANALYTIC_TARGETS)
     def test_rho_evaluations(self, target):
-        # the smooth net charge is one Chebyshev piece: 115 evaluations at
-        # V_bi + 10 V (17 + 33 + 65 points), 50 at the small targets
+        # the smooth net charge is one Chebyshev piece, judged from its own
+        # coefficients: 17 + 33 points at V_bi + 10 V and 1 nV, whose
+        # 17-point series is still above its floor, and 17 at 1 mV
         net = ChargeProfile.net(WORKED_PROFILE)
         sol = solve_two_sided(net, SI.eps, WORKED.x_j, target)
         calls = []
         rho = ChargeProfile(fn=lambda x: calls.append(x) or net.fn(x), scale=net.scale)
         reconstruct_field_potential(rho, SI.eps, sol.x_left, sol.x_right, 201)
-        assert len(calls) <= 256
+        assert len(calls) == dict(zip(ANALYTIC_TARGETS, (50, 17, 50)))[target]
 
     def test_step_across_permittivity_interface(self):
         # no node may sit on the interface, where eps_at returns the left
@@ -705,17 +706,36 @@ class TestReconstruct:
             err = max(abs(s[col] - w[col - 1]) for s, w in zip(samples, want))
             assert err <= 1e-13 * max(abs(w[col - 1]) for w in want), col
 
-    def test_undeclared_kink_raises(self):
-        # |x - c| has Chebyshev coefficients falling like 1/k^2, never a
-        # plateau; the error names the piece between splits that holds c
+    @pytest.mark.parametrize("p", [1, 3, 9])
+    def test_undeclared_kink_raises(self, p):
+        # |x - c|^p has Chebyshev coefficients falling like k^-(p+1): at
+        # p = 1 and 3 the top quarter of the 129-point series is still
+        # above 1e-10 of the largest, and at p = 9 it is still ~30 times
+        # below the quarter under it, short of the rounding floor; the
+        # error names the piece between splits that holds c
         c = 0.3e-6
-        rho = ChargeProfile(fn=lambda x: Q * 1e28 * abs(x - c))
+        rho = ChargeProfile(fn=lambda x: Q * 1e22 * (abs(x - c) / 1e-6) ** p)
         start = time.perf_counter()
         with pytest.raises(ArithmeticError, match="ChargeProfile.steps") as exc:
             reconstruct_field_potential(rho, SI.eps, 0.0, 1e-6, 201)
         assert time.perf_counter() - start < 1.0
         a, b = map(float, re.search(r"\[(\S+), (\S+)\] m", str(exc.value)).groups())
         assert a < c < b
+
+    def test_smooth_enough_undeclared_kink_resolves(self):
+        # |x - c|^11 has coefficients falling like k^-12: they reach the
+        # rounding floor by 129 points, and E matches the analytic
+        # antiderivative, k*s/eps*(h((x - c)/s) - h(-c/s)) with
+        # h(y) = y*|y|^11/12
+        c, k, s = 0.3e-6, Q * 1e22, 1e-6
+        rho = ChargeProfile(fn=lambda x: k * (abs(x - c) / s) ** 11)
+        samples = reconstruct_field_potential(rho, SI.eps, 0.0, 1e-6, 201)
+
+        def h(y):
+            return y * abs(y) ** 11 / 12.0
+        want = [k * s / SI.eps * (h((x - c) / s) - h(-c / s)) for x, _, _ in samples]
+        err = max(abs(e - w) for (_, e, _), w in zip(samples, want))
+        assert err <= 1e-14 * max(map(abs, want))
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-300])
     def test_undeclared_kink_in_wide_interval_raises(self, scale):
@@ -753,6 +773,44 @@ class TestReconstruct:
             err = max(abs(s[1] - r) for s, r in zip(samples, ref))
             assert err <= 1e-13 * max(map(abs, ref)), (l_d, target, two_sided)
 
+    def test_random_net_junctions_against_mpmath(self):
+        # ten junctions drawn over the oracle benchmark's ranges (N_B
+        # 1e19-1e23 m^-3, N0/N_B 10-1e4 with N0 <= 1e26 m^-3, L_d 0.1-100
+        # um), each at a forward, a near-zero and a reverse bias: E within
+        # 1e-13 of max|E| and u within 1e-12 of max|u|, against 40 digits
+        # of the model as evaluated (worst 9.0e-16 and 7.3e-16); against
+        # the Gaussian's own zero, an ulp or so from x_j, E is off by up to
+        # 3.0e-14 here and 1.4e-13 where W is 1 um at x_j = 0.2 mm
+        rng = random.Random(29)
+        cases = []
+        while len(cases) < 30:
+            lg_nb = rng.uniform(19.0, 23.0)
+            profile = GaussianProfile(n0=10.0 ** (lg_nb + rng.uniform(1.0, min(26.0 - lg_nb, 4.0))),
+                                      l_d=10.0 ** rng.uniform(-7.0, -4.0), n_b=10.0 ** lg_nb)
+            spec = JunctionSpec(material=SI, profile=profile)
+            try:
+                v_max = validity_window(spec).v_max_reverse
+            except JunctionError:
+                continue
+            biases = (-rng.uniform(0.1, 0.5) * spec.v_bi, rng.uniform(-1e-3, 1e-3),
+                      rng.uniform(0.1, 0.5) * v_max)
+            cases += [(profile, spec.x_j, spec.v_bi + v) for v in biases]
+        for profile, x_j, target in cases:
+            rho = ChargeProfile.net(profile)
+            sol = solve_two_sided(rho, SI.eps, x_j, target)
+            samples = reconstruct_field_potential(rho, SI.eps, sol.x_left, sol.x_right, 101)
+            with mpmath.workdps(40):
+                scale = mpmath.mpf(Q) / mpmath.mpf(SI.eps)
+                f_l, g_l = closure_antiderivatives(profile, x_j, sol.x_left)
+                e_ref, u_ref = [], []
+                for x, _, _ in samples:
+                    f, g = closure_antiderivatives(profile, x_j, x)
+                    e_ref.append(float((f - f_l) * scale))
+                    u_ref.append(float((g - g_l - mpmath.mpf(x) * (f - f_l)) * scale))
+            for col, ref, bound in ((1, e_ref, 1e-13), (2, u_ref, 1e-12)):
+                err = max(abs(s[col] - r) for s, r in zip(samples, ref))
+                assert err <= bound * max(map(abs, ref)), (profile, target, col)
+
     @pytest.mark.parametrize("profile, two_sided, target", [
         (WORKED_PROFILE, False, 1e-9),
         (GaussianProfile(n0=1e26, l_d=1e-4, n_b=1e22), True, 1e-12)])
@@ -773,16 +831,9 @@ class TestReconstruct:
             sol = solve_one_sided(rho, SI.eps, x_j, target)
         samples = reconstruct_field_potential(rho, SI.eps, sol.x_left, sol.x_right)
         with mpmath.workdps(40):
-            n_b, l_d, xj = (mpmath.mpf(v) for v in (profile.n_b, profile.l_d, x_j))
-
-            def closure_charge(x):
-                # integral of N_B*expm1((x_j - x)*(x_j + x)/L_d^2), less a constant
-                x = mpmath.mpf(x)
-                return n_b * (mpmath.exp((xj / l_d) ** 2) * l_d * mpmath.sqrt(mpmath.pi) / 2
-                              * mpmath.erf(x / l_d) - x)
-            left = closure_charge(sol.x_left)
-            ref = [sign * float((closure_charge(x) - left) * mpmath.mpf(Q) / mpmath.mpf(SI.eps))
-                   for x, _, _ in samples]
+            left = closure_antiderivatives(profile, x_j, sol.x_left)[0]
+            ref = [sign * float((closure_antiderivatives(profile, x_j, x)[0] - left)
+                                * mpmath.mpf(Q) / mpmath.mpf(SI.eps)) for x, _, _ in samples]
         err = max(abs(s[1] - r) for s, r in zip(samples, ref))
         assert err <= 1e-14 * max(map(abs, ref))
 
@@ -923,6 +974,17 @@ def first_moment(profile, x):
     constant, at mpmath's working precision."""
     n0, n_b, l_d = (mpmath.mpf(v) for v in (profile.n0, profile.n_b, profile.l_d))
     return -n0 * l_d ** 2 / 2 * mpmath.exp(-(x / l_d) ** 2) - n_b * x ** 2 / 2
+
+
+def closure_antiderivatives(profile, x_j, x):
+    """Integrals of rho/q and of x*rho/q of the net model as evaluated,
+    N_B*expm1((x_j - x)*(x_j + x)/L_d^2) with its float x_j, each less a
+    constant, at mpmath's working precision. The profile's own zero lies
+    an ulp or so from x_j, which alone costs ~8*ulp(x_j)/W of max|E|."""
+    n_b, l_d, xj, x = (mpmath.mpf(v) for v in (profile.n_b, profile.l_d, x_j, x))
+    n0 = n_b * mpmath.exp((xj / l_d) ** 2)
+    return (n0 * l_d * mpmath.sqrt(mpmath.pi) / 2 * mpmath.erf(x / l_d) - n_b * x,
+            -n0 * l_d ** 2 / 2 * mpmath.exp(-(x / l_d) ** 2) - n_b * x ** 2 / 2)
 
 
 def net_reference(profile, x_j, x_left, x_right):
