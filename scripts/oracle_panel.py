@@ -12,12 +12,16 @@ Then, per junction and one-sided model, an ascending and a descending
 41-point grid of targets from 0.5 V to V_bi + 10 V, solved on one
 profile object, so that each solve continues from the last: one line
 each with a sha256 prefix of the widths' float.hex and the charge-density
-evaluations of the whole grid. Last, four two-sided lines in a Si/Ge
+evaluations of the whole grid. Then four two-sided lines in a Si/Ge
 stack whose Si layer ends past x_j: three junctions where a Newton step
 from the start lands past the stack end, and one whose target the stack
-cannot hold (StackExhaustedError). A solve that raises prints the
-exception's class and message instead. The last line is a sha256 over
-all lines before it.
+cannot hold (StackExhaustedError). Last, three two-sided lines on
+charges of limited extent, q*N on one side of x_j and k*q*N over a layer
+d thick on the other, 0 past it, at a fraction f of the moment the whole
+charge holds: a Newton step lands past the layer's end, and a solve
+that halved its whole step there ran for millions of evaluations or
+raised. A solve that raises prints the exception's class and message
+instead. The last line is a sha256 over all lines before it.
 
 Takes no flags. Two versions of the oracle agree bit for bit where their
 panels do; compare two runs with diff.
@@ -26,7 +30,7 @@ panels do; compare two runs with diff.
 import dataclasses
 import hashlib
 
-from junctionlab import (ChargeProfile, GaussianProfile, HeteroStack, JunctionSpec,
+from junctionlab import (ChargeProfile, GaussianProfile, HeteroStack, JunctionSpec, Q,
                          ScrSolution, get_material, junction_depth,
                          reconstruct_field_potential, solve_one_sided, solve_two_sided)
 
@@ -51,6 +55,15 @@ STACKED = [
     (3.852256979474014e25, 1.4431497627182993e-6, 1.0632138849696236e19, 30.0,
      9.1970615221164e-6, 4.484612617767771e-5),
 ]
+# (N m^-3, k, d m, scale m, f, mirrored) at x_j = 1 um, eps = 1e-10 F/m:
+# the layer past x_j, one thinner than 1e-3 scale, and one on the
+# diffused side
+LAYERS = [
+    (1e22, 100.0, 10e-9, 1e-7, 0.1, False),
+    (1e22, 10.0, 0.5e-9, 1e-6, 0.5, False),
+    (1e22, 50.0, 10e-9, 1e-7, 0.9, True),
+]
+LAYER_X_J, LAYER_EPS = 1e-6, 1e-10
 SAMPLES = 201
 GRID_POINTS = 41
 
@@ -83,8 +96,19 @@ def _grid(rho: ChargeProfile, spec: JunctionSpec, targets) -> str:
     return f"widths={digest[:16]} rho={count[0]}"
 
 
-def _two_sided(profile: GaussianProfile, eps, x_j: float, target: float) -> str:
-    rho, count = _counted(ChargeProfile.net(profile))
+def _layer(n: float, k: float, d: float, scale: float, mirrored: bool) -> ChargeProfile:
+    """q*n below LAYER_X_J and -k*q*n on the d above it, 0 past that; or
+    mirrored, k*q*n on the d below LAYER_X_J, 0 above that, -q*n past it."""
+    x_j = LAYER_X_J
+    if mirrored:
+        return ChargeProfile(fn=lambda x: 0.0 if x < x_j - d else k * Q * n if x < x_j else -Q * n,
+                             steps=(x_j - d, x_j), scale=scale)
+    return ChargeProfile(fn=lambda x: Q * n if x < x_j else -k * Q * n if x < x_j + d else 0.0,
+                         steps=(x_j, x_j + d), scale=scale)
+
+
+def _two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> str:
+    rho, count = _counted(rho)
     sol = solve_two_sided(rho, eps, x_j, target)
     solve_count = count[0]
     samples = reconstruct_field_potential(rho, eps, sol.x_left, sol.x_right, SAMPLES)
@@ -116,7 +140,8 @@ def main():
                                                            spec, t)),
                   ("one-sided net_magnitude",
                    lambda t: _one_sided(ChargeProfile.net_magnitude(profile), spec, t)),
-                  ("two-sided net", lambda t: _two_sided(profile, spec.eps, spec.x_j, t))]
+                  ("two-sided net",
+                   lambda t: _two_sided(ChargeProfile.net(profile), spec.eps, spec.x_j, t))]
         for label, target in targets:
             for name, solve in solves:
                 _record(lines, f"{n0!r} {l_d!r} {n_b!r} {label}={target.hex()} {name}",
@@ -133,7 +158,13 @@ def main():
         stack = HeteroStack(layers=((si, t_si), (ge, t_ge)))
         _record(lines, f"{n0!r} {l_d!r} {n_b!r} {target.hex()} Si {t_si!r} Ge {t_ge!r} "
                        f"two-sided net",
-                lambda: _two_sided(profile, stack, junction_depth(profile), target))
+                lambda: _two_sided(ChargeProfile.net(profile), stack, junction_depth(profile),
+                                   target))
+    for n, k, d, scale, f, mirrored in LAYERS:
+        target = f * Q * n * k * (k + 1.0) * d * d / (2.0 * LAYER_EPS)
+        _record(lines, f"layer {n!r} {k!r} {d!r} {scale!r} f={f!r}"
+                       f"{' mirrored' if mirrored else ''} two-sided",
+                lambda: _two_sided(_layer(n, k, d, scale, mirrored), LAYER_EPS, LAYER_X_J, target))
     print("sha256", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 

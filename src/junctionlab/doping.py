@@ -110,7 +110,10 @@ def junction_depth(profile: GaussianProfile) -> float:
 class ChargeProfile:
     """Evaluatable charge density x (m) -> rho (C/m^3). ``steps`` lists
     every point where rho or its slope jumps; between them rho must be
-    smooth, or reconstruct_field_potential raises ArithmeticError.
+    smooth. reconstruct_field_potential raises ArithmeticError on an
+    undeclared kink or step whose Chebyshev tail stays above 1e-10 of the
+    series' largest coefficient; a smaller one resolves, its E within about
+    2e-11 of max|E|.
     ``scale`` is a characteristic length: it seeds the bracketing searches
     and places the near splits of moment_integral and
     reconstruct_field_potential."""

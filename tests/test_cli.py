@@ -444,6 +444,8 @@ class TestExitCodes:
         (["oracle", "--n0", "1e18", "--nb", "1e15", "--ld", "1e12", "--bias", "1",
           "--two-sided"], 2, "error: integral over [2.62826e+06, 2.62826e+06] not "
          "resolved in 200 panels"),                                   # ArithmeticError
+        (["oracle", *WORKED, "--bias", "1", "--two-sided", "--xj", "28"], 2,
+         "error: rho does not change sign at x_j"),                   # ArithmeticError
     ])
     def test_error_table(self, argv, code, prefix, tmp_path, capsys):
         for name, text in self.CURVES.items():
