@@ -21,14 +21,25 @@ d thick on the other, 0 past it, at a fraction f of the moment the whole
 charge holds: a Newton step lands past the layer's end, and a solve
 that halved its whole step there ran for millions of evaluations or
 raised. A solve that raises prints the exception's class and message
-instead. The last line is a sha256 over all lines before it.
+instead. A sha256 over all these lines follows them.
+
+Last come the fuzz lines, each hashed on its own: per seed 11, 12 and 13,
+1 500 two-sided net solves on junctions drawn across the acceptance
+ranges, half of them in a Si/Ge stack whose Si layer ends between x_j and
+3 x_j; then 300 two-sided solves on seeded layers of limited charge (seed
+7) at a random fraction of the moment they hold. Each line gives the
+count of each outcome, a sha256 prefix over the outcomes in order (the
+exception's class and message, or the float.hex of every ScrSolution
+field) and the charge-density evaluations of all its solves.
 
 Takes no flags. Two versions of the oracle agree bit for bit where their
 panels do; compare two runs with diff.
 """
 
+import collections
 import dataclasses
 import hashlib
+import random
 
 from junctionlab import (ChargeProfile, GaussianProfile, HeteroStack, JunctionSpec, Q,
                          ScrSolution, get_material, junction_depth,
@@ -66,6 +77,8 @@ LAYERS = [
 LAYER_X_J, LAYER_EPS = 1e-6, 1e-10
 SAMPLES = 201
 GRID_POINTS = 41
+FUZZ_SEEDS, FUZZ_JUNCTIONS = (11, 12, 13), 1500
+LAYER_SEED, SEEDED_LAYERS = 7, 300
 
 
 def _counted(rho: ChargeProfile) -> tuple:
@@ -96,10 +109,10 @@ def _grid(rho: ChargeProfile, spec: JunctionSpec, targets) -> str:
     return f"widths={digest[:16]} rho={count[0]}"
 
 
-def _layer(n: float, k: float, d: float, scale: float, mirrored: bool) -> ChargeProfile:
-    """q*n below LAYER_X_J and -k*q*n on the d above it, 0 past that; or
-    mirrored, k*q*n on the d below LAYER_X_J, 0 above that, -q*n past it."""
-    x_j = LAYER_X_J
+def _layer(n: float, k: float, d: float, scale: float, mirrored: bool,
+           x_j: float = LAYER_X_J) -> ChargeProfile:
+    """q*n below x_j and -k*q*n on the d above it, 0 past that; or
+    mirrored, k*q*n on the d below x_j, 0 above that, -q*n past it."""
     if mirrored:
         return ChargeProfile(fn=lambda x: 0.0 if x < x_j - d else k * Q * n if x < x_j else -Q * n,
                              steps=(x_j - d, x_j), scale=scale)
@@ -126,6 +139,56 @@ def _record(lines: list, prefix: str, solve) -> None:
     line = f"{prefix}: {result}"
     lines.append(line)
     print(line)
+
+
+def _fuzz(label: str, solves) -> str:
+    """One line for a sequence of (rho, eps, x_j, target): the count of
+    each outcome, a sha256 prefix over the outcomes and the total
+    charge-density evaluations."""
+    outcomes, digest, total = collections.Counter(), hashlib.sha256(), 0
+    for rho, eps, x_j, target in solves:
+        rho, count = _counted(rho)
+        try:
+            outcome = _fields(solve_two_sided(rho, eps, x_j, target))
+            outcomes["root"] += 1
+        except Exception as e:  # the panel records every outcome
+            outcome = f"{type(e).__name__}: {e}"
+            outcomes[type(e).__name__] += 1
+        digest.update(f"{outcome}\n".encode())
+        total += count[0]
+    counts = " ".join(f"{name}={n}" for name, n in sorted(outcomes.items()))
+    return f"{label}: {counts} outcomes={digest.hexdigest()[:16]} rho={total}"
+
+
+def _fuzz_junctions(seed: int):
+    """FUZZ_JUNCTIONS net-model solves across the acceptance ranges, half
+    in a Si/Ge stack whose Si layer ends between x_j and 3 x_j."""
+    si, ge = get_material("Si"), get_material("Ge")
+    rng = random.Random(seed)
+    for _ in range(FUZZ_JUNCTIONS):
+        n_b = 10.0 ** rng.uniform(19, 23)
+        profile = GaussianProfile(n0=n_b * 10.0 ** rng.uniform(1e-7, 7),
+                                  l_d=10.0 ** rng.uniform(-8, -3), n_b=n_b)
+        target = 10.0 ** rng.uniform(-6, 2)
+        x_j = junction_depth(profile)
+        eps = si.eps
+        if rng.random() < 0.5:
+            eps = HeteroStack(layers=((si, x_j * rng.uniform(1.0001, 3)),
+                                      (ge, profile.l_d * rng.uniform(1, 100))))
+        yield ChargeProfile.net(profile), eps, x_j, target
+
+
+def _fuzz_layers():
+    """SEEDED_LAYERS layers across 1e20-1e24 m^-3, k = 1-1000 and d = 1
+    nm-1 um in Si, each at a fraction f of the moment its charge holds."""
+    eps = get_material("Si").eps
+    rng = random.Random(LAYER_SEED)
+    for _ in range(SEEDED_LAYERS):
+        n, k = 10.0 ** rng.uniform(20, 24), 10.0 ** rng.uniform(0, 3)
+        d = 10.0 ** rng.uniform(-9, -6)
+        x_j, f = k * d * rng.uniform(1.5, 10), rng.uniform(0.01, 0.99)
+        target = f * Q * n * k * (k + 1.0) * d * d / (2.0 * eps)
+        yield _layer(n, k, d, d, False, x_j), eps, x_j, target
 
 
 def main():
@@ -166,6 +229,11 @@ def main():
                        f"{' mirrored' if mirrored else ''} two-sided",
                 lambda: _two_sided(_layer(n, k, d, scale, mirrored), LAYER_EPS, LAYER_X_J, target))
     print("sha256", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    for seed in FUZZ_SEEDS:
+        print(_fuzz(f"fuzz seed={seed} junctions={FUZZ_JUNCTIONS} two-sided net",
+                    _fuzz_junctions(seed)))
+    print(_fuzz(f"fuzz seed={LAYER_SEED} layers={SEEDED_LAYERS} two-sided",
+                _fuzz_layers()))
 
 
 if __name__ == "__main__":

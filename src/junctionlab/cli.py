@@ -18,6 +18,7 @@ the validity window of the regime it solves.
 import argparse
 import math
 import os
+import re
 import sys
 
 from . import closedform, cvtools, momentsolver
@@ -41,6 +42,12 @@ CM2_TO_M2 = 1e-4
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse before Python 3.13 reads only -1 and -0.5 as negative
+        # numbers, so "--bias -1e-3" lost its value; subparsers are _Parsers
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

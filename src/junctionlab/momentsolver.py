@@ -494,29 +494,28 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
     w_r*rho_r/Q_r) and (w_l^2*rho_l/eps_l, w_r^2*rho_r/eps_r)/M in
     magnitudes. It starts at the linearly graded junction's w =
     (12*eps*V/a)^(1/3)/2 each side, a the slope of |rho| past x_j, and
-    takes plain Newton steps. One rule keeps them inside the walls, the
-    surface (w_l = x_j) and the domain's end: a step that would put w_l at
-    or past x_j, or x_right past the end, is checked there as below, then
-    each offset that crosses moves halfway to its wall, to a point
-    strictly inside; a cut step is no Newton step for the stop. The side
+    takes plain Newton steps. One rule takes every trial it cannot use: a
+    side at or past its wall (w_l at or past x_j, the surface; x_right past
+    the domain's end; a NaN offset is past), where the trial is not
+    evaluated, or a side where rho has lost the sign it has next to x_j
+    (past the end of that side's charge). The trial is checked at its
+    x_right as below; then each such side goes onto its wall and halfway
+    back toward the last usable point (x_j before the first), strictly
+    between, and the next step is no Newton step for the stop. The side
     signs are rho's at the start where it straddles x_j, else at the
     floats next to x_j; ArithmeticError names x_j where they are not
-    opposite. A trial where a side has lost its sign (past the end of its
-    charge) is checked at its x_right as below, then each such offset
-    moves alone halfway back toward the last usable point's (x_j's before
-    the first), strictly between; a pulled back step is no Newton step
-    either. ArithmeticError where such an offset cannot move, or where the
-    charges cannot be compared while both sides keep their signs. The one
-    exit is _converged, as in solve_one_sided, on the larger Newton step
-    in the logs; ``moment_value`` is a Taylor step in w.
+    opposite. One raise ends a solve where such a side cannot move, or
+    where the charges cannot be compared while both sides keep their
+    signs: SurfaceReachedError at the surface, StackExhaustedError at the
+    stack end, else ArithmeticError. The one exit is _converged, as in
+    solve_one_sided, on the larger Newton step in the logs;
+    ``moment_value`` is a Taylor step in w.
 
     Past the domain's end, StackExhaustedError (rho not 0 at a finite end)
     or UnreachablePotentialError unless the neutral region ending there
     holds the target (checked too where rho is 0 at x_right); where x_left
     would pass the surface and the diffused side cannot balance x_right,
     SurfaceReachedError unless the neutral region from the surface does.
-    An offset within rounding of its wall that a step carries past it has
-    reached the wall: SurfaceReachedError or StackExhaustedError.
     """
     eps_of_x, breaks, end = _domain(rho, eps, x_j, x_j)
     if not (x_j > 0.0 and 0.0 < target < math.inf):
@@ -552,35 +551,44 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
     slope = abs(rho.fn(x_j + 1e-3 * rho.scale)) / (1e-3 * rho.scale)
     w0 = 0.5 * (12.0 * eps_of_x(x_j) * target / slope) ** (1.0 / 3.0) if slope else rho.scale
     # the last usable point (x_j itself at first), the step from it in
-    # (ln w_l, ln w_r) and the trial it reaches, and whether that step was
-    # cut or pulled back (the start is reached by none): only an uncut step
-    # is Newton's
-    wl = wr = 0.0
-    tl, tr, cut, sides = min(w0, 0.5 * x_j), min(w0, 0.5 * (end - x_j)), True, None
+    # (ln w_l, ln w_r), zeroed where no Newton step reached the trial (the
+    # start, a pull-back), and the trial it reaches
+    wl = wr = ul = ur = 0.0
+    tl, tr, sides = min(w0, 0.5 * x_j), min(w0, 0.5 * (end - x_j)), None
     while True:
-        xl, xr = x_j - tl, x_j + tr
-        ql, qr, m = charge(xl), charge(xr), moment(xr) - moment(xl)
-        rho_l, rho_r = rho.fn(xl), rho.fn(xr)
-        if sides is None and rho_l * rho_r < 0.0:
-            sides = rho_l, rho_r  # rho's signs next to x_j, from a start straddling it
-        usable = sides and rho_l * sides[0] > 0.0 < rho_r * sides[1]
-        if not (usable and ql * qr > 0.0 and m):
-            # the pull-back rule: check decides at x_right, then each side
-            # where rho has lost its sign (past the end of its charge) moves
-            # alone halfway back to the usable point, strictly between
+        # a trial with a side at or past its wall (a NaN offset is) is not
+        # evaluated: m = 0 marks it unusable
+        xl, xr, m = x_j - tl, x_j + tr, 0.0
+        if tl < x_j and xr <= end:
+            ql, qr, m = charge(xl), charge(xr), moment(xr) - moment(xl)
+            rho_l, rho_r = rho.fn(xl), rho.fn(xr)
+            if sides is None and rho_l * rho_r < 0.0:
+                sides = rho_l, rho_r  # rho's signs next to x_j, from a start straddling it
+        if not (m and sides and rho_l * sides[0] > 0.0 < rho_r * sides[1] and ql * qr > 0.0):
+            # the one rule for a trial the solve cannot use; a side inside
+            # its wall beside one past it keeps the last usable point's rho
             check(xr)
             if sides is None:
                 sides = tuple(rho.fn(math.nextafter(x_j, d)) for d in (-math.inf, math.inf))
                 if not sides[0] * sides[1] < 0.0:
                     raise ArithmeticError(f"rho does not change sign at x_j = {x_j:g} m")
-            lost_l, lost_r = not rho_l * sides[0] > 0.0, not rho_r * sides[1] > 0.0
+            surface, stack_end = not tl < x_j, not xr <= end
+            lost_l = surface or not rho_l * sides[0] > 0.0
+            lost_r = stack_end or not rho_r * sides[1] > 0.0
+            tl, tr = min(x_j, tl), min(end - x_j, tr) if stack_end else tr
             pl, pr = 0.5 * (wl + tl) if lost_l else tl, 0.5 * (wr + tr) if lost_r else tr
-            if not (lost_l or lost_r) or lost_l and pl in (wl, tl) or lost_r and pr in (wr, tr):
-                raise ArithmeticError(f"no two-sided Newton step from [{xl:g}, {xr:g}] m: the "
-                                      f"charges cannot be compared or an offset cannot move")
-            tl, tr, cut = pl, pr, True
+            # strictly between in offsets, and in positions at the stack end
+            stuck_l = lost_l and pl in (wl, tl)
+            stuck_r = lost_r and (pr in (wr, tr) if not stack_end else
+                                  not (wr < pr and x_j + pr < end))
+            if stuck_l or stuck_r or not (lost_l or lost_r):
+                error = (SurfaceReachedError if stuck_l and surface else
+                         StackExhaustedError if stuck_r and stack_end else ArithmeticError)
+                raise error(f"no two-sided Newton step from [{xl:g}, {xr:g}] m: the "
+                            f"charges cannot be compared or an offset cannot move")
+            tl, tr, ul, ur = pl, pr, 0.0, 0.0
             continue
-        newton = 0.0 if cut else max(abs(ul), abs(ur))
+        newton = max(abs(ul), abs(ur))
         wl, wr, m_abs = tl, tr, abs(m)
         g1, g2 = math.log(qr / ql), math.log(m_abs / target)
         # d|M|/dw, then the logarithmic slopes of each side's charge and of |M|
@@ -589,29 +597,8 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
         el, er = wl * sl / m_abs, wr * sr / m_abs
         det = cl * er + cr * el
         ul, ur = (er * g1 - cr * g2) / det, -(el * g1 + cl * g2) / det
-        # the trial, each e^u capped at twice its wall (x_j for w_l, end - x_j
-        # for w_r) and at the largest float
-        tl = wl * math.exp(min(ul, math.log(2.0 * x_j / wl), _LOG_MAX))
-        tr = wr * math.exp(min(ur, math.log(2.0 * (end - x_j) / wr), _LOG_MAX))
-        cut = not (tl < x_j and x_j + tr <= end)
-        if cut:
-            # the wall rule: check decides at the step's x_right, then each
-            # offset the step carries to or past its wall moves halfway
-            # there, strictly between the point and the wall; an offset
-            # that cannot has reached its wall within rounding
-            check(x_j + tr)
-            if not tl < x_j:
-                tl = 0.5 * (wl + x_j)
-                if not wl < tl < x_j:
-                    raise SurfaceReachedError(f"SCR reaches the surface: x_left = {x_j - wl:g} m "
-                                              f"is within rounding of it")
-            if not x_j + tr <= end:
-                tr = 0.5 * (wr + (end - x_j))
-                if not (wr < tr and x_j + tr < end):
-                    raise StackExhaustedError(f"SCR would extend past the stack end at {end:g} m "
-                                              f"(x_right = {x_j + wr:g} m is within rounding "
-                                              f"of it)")
-        elif _converged(max(abs(ul), abs(ur)), newton, 1.0):
+        tl, tr = wl * math.exp(min(ul, _LOG_MAX)), wr * math.exp(min(ur, _LOG_MAX))
+        if tl < x_j and x_j + tr <= end and _converged(max(abs(ul), abs(ur)), newton, 1.0):
             return ScrSolution(x_left=x_j - tl, x_right=x_j + tr, width=tl + tr,
                                moment_value=m_abs + sl * (tl - wl) + sr * (tr - wr))
 

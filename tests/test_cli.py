@@ -362,6 +362,31 @@ class TestExitCodes:
         assert code == 64
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spaced, joined", [
+        (["solve", *WORKED, "--bias", "-1e-3"], ["solve", *WORKED, "--bias=-1e-3"]),
+        (["solve", *WORKED, "--bias", "-1E-1"], ["solve", *WORKED, "--bias=-1E-1"]),
+        (["sweep", *WORKED, "--vstart", "-3e-1", "--vstop", "1", "--steps", "3",
+          "--out", "{tmp}/x.csv"],
+         ["sweep", *WORKED, "--vstart=-3e-1", "--vstop", "1", "--steps", "3",
+          "--out", "{tmp}/x.csv"]),
+    ])
+    def test_negative_value_in_scientific_notation(self, spaced, joined, tmp_path, capsys):
+        # argparse before Python 3.13 took "-1e-3" for an option, not a
+        # value, and exited 64; it must read as "--bias=-1e-3" does
+        outcomes = []
+        for argv in (spaced, joined):
+            code, out, err = run([a.format(tmp=tmp_path) for a in argv], capsys)
+            written = (tmp_path / "x.csv").read_bytes() if argv[0] == "sweep" else b""
+            outcomes.append((code, out, err, written))
+        assert outcomes[0][0] == 0
+        assert outcomes[0] == outcomes[1]
+
+    def test_negative_infinite_value_exit_64(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", *WORKED, "--bias", "-inf"])
+        assert exc.value.code == 64
+        assert "argument --bias: expected one argument" in capsys.readouterr().err
+
     def test_fit_whose_residuals_overflow_exit_65(self, tmp_path, capsys):
         # at 1e-300 K V_bi is ~2.6e-303 V and the residual at 0 V
         # overflows, so the fit's normal equations are never definite

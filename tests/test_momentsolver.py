@@ -4,6 +4,7 @@ import random
 import re
 import threading
 import time
+import types
 
 import mpmath
 import numpy as np
@@ -1258,6 +1259,57 @@ class TestTwoSidedWalls:
         assert outcomes[0] and not outcomes[-1]
         assert outcomes == sorted(outcomes, reverse=True)
 
+    def test_nan_step_moves_off_both_walls(self, monkeypatch):
+        # a Newton step whose offsets are NaN lies past both walls: each
+        # offset goes halfway to its wall and the solve still finds the
+        # root of test_steps_past_the_stack_end's first case (a NaN kept as
+        # the trial would never leave it)
+        logs = []
+
+        def log(x):
+            logs.append(x)
+            return math.nan if len(logs) == 1 else math.log(x)
+        monkeypatch.setattr(momentsolver, "math",
+                            types.SimpleNamespace(**{**vars(math), "log": log}))
+
+        profile = GaussianProfile(n0=3.852256979474014e25, l_d=1.4431497627182993e-6,
+                                  n_b=1.0632138849696236e19)
+        net, xs = _counted(ChargeProfile.net(profile).fn)
+
+        def guarded(x):
+            if len(xs) >= 20_000:
+                raise RuntimeError(f"{len(xs)} rho evaluations")
+            return net(x)
+        x_j = junction_depth(profile)
+        stack = HeteroStack(layers=((SI, 9.1970615221164e-6), (self.GE, 4.484612617767771e-5)))
+        sol = solve_two_sided(ChargeProfile(fn=guarded, scale=profile.l_d), stack, x_j,
+                              6.080438458413013)
+        assert 0.0 < sol.x_left < x_j < sol.x_right < stack.layers[0][1] + stack.layers[1][1]
+        assert abs(sol.width - 3.16446475783511e-5) <= 1e-14 * sol.width
+
+    @pytest.mark.parametrize("n0, l_d, n_b, layers, target, error, start, evaluations", [
+        # one float past test_targets_at_a_wall's surface edge: the Newton
+        # step lands on the surface from an x_left 5.3e-23 m above it
+        (5e23, 3e-7, 2.5e23, None, 20.0429254717278, SurfaceReachedError,
+         "[0, 5.24613e-07]", 9_044),
+        # one float past the edge of the panel's third stack (16.36 V): the
+        # step lands past the stack end from an x_right within rounding of it
+        (5.653537905063504e28, 6.49695685420635e-8, 6.121370181020992e21,
+         (7.739301773242846e-7, 1.5842511407792405e-6), 16.357783376199748,
+         StackExhaustedError, "[2.11762e-07, 2.35818e-06]", 3_114),
+    ])
+    def test_offset_stuck_at_a_wall(self, n0, l_d, n_b, layers, target, error, start,
+                                    evaluations):
+        # an offset that cannot move off its wall raises the wall's error,
+        # from the one raise for an offset that cannot move
+        profile = GaussianProfile(n0=n0, l_d=l_d, n_b=n_b)
+        eps = HeteroStack(layers=((SI, layers[0]), (self.GE, layers[1]))) if layers else SI.eps
+        net, xs = _counted(ChargeProfile.net(profile).fn)
+        with pytest.raises(error, match=f"^no two-sided Newton step from {re.escape(start)} m"):
+            solve_two_sided(ChargeProfile(fn=net, scale=l_d), eps, junction_depth(profile),
+                            target)
+        assert len(xs) <= evaluations
+
 
 def _layer(n, k, d, x_j, scale, mirrored=False):
     """rho = q*N on [0, x_j), -k*q*N on [x_j, x_j + d) and 0 past that, or
@@ -1336,6 +1388,25 @@ class TestLimitedCharge:
             assert width <= 1e-14 and neutrality <= 1e-11, i
             assert moment <= (1e-9 if i == 290 else 1e-12), i
         assert max(counts) <= 3_000 and sorted(counts)[150] <= 1_600
+
+    def test_offset_that_cannot_move(self):
+        # rho changes sign three times, past the solve's contract: q*N below
+        # x_j, -q*N on the next 20 nm, +2*q*N on the 20 nm after, -q*N past
+        # that. The pull-back cannot move the right offset off the step at
+        # x_j + 20 nm, so the one raise for an offset that cannot move ends
+        # the solve (37 475 evaluations)
+        x_j, n = 1e-6, 1e22
+
+        def fn(x):
+            return (Q * n if x < x_j else -Q * n if x < x_j + 20e-9
+                    else 2 * Q * n if x < x_j + 40e-9 else -Q * n)
+        counted, xs = _counted(fn)
+        rho = ChargeProfile(fn=counted, steps=(x_j, x_j + 20e-9, x_j + 40e-9), scale=1e-7)
+        with pytest.raises(ArithmeticError) as exc:
+            solve_two_sided(rho, 1e-10, x_j, 0.01)
+        assert type(exc.value) is ArithmeticError
+        assert str(exc.value).startswith("no two-sided Newton step from [9.74676e-07, 1.02e-06] m")
+        assert len(xs) <= 37_475
 
     def test_no_sign_change_at_x_j(self):
         # past the worked junction's x_j the net charge is negative on both
