@@ -32,6 +32,13 @@ count of each outcome, a sha256 prefix over the outcomes in order (the
 exception's class and message, or the float.hex of every ScrSolution
 field) and the charge-density evaluations of all its solves.
 
+The last line gives the charge-density evaluations per operation of the
+benchmark's oracle_verify workload over seeds 1-3, for its three phases:
+the one-sided paper-model grid, the two-sided net-charge solve and its
+reconstruction. Its junctions, grids and biases are drawn with
+perfbench/inputs.py in the order the workload draws them, and the
+two-sided target comes from junctionlab.solve, as there.
+
 Takes no flags. Two versions of the oracle agree bit for bit where their
 panels do; compare two runs with diff.
 """
@@ -40,10 +47,15 @@ import collections
 import dataclasses
 import hashlib
 import random
+import sys
+from pathlib import Path
 
-from junctionlab import (ChargeProfile, GaussianProfile, HeteroStack, JunctionSpec, Q,
+from junctionlab import (Bias, ChargeProfile, GaussianProfile, HeteroStack, JunctionSpec, Q,
                          ScrSolution, get_material, junction_depth,
-                         reconstruct_field_potential, solve_one_sided, solve_two_sided)
+                         reconstruct_field_potential, solve, solve_one_sided, solve_two_sided)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import inputs  # noqa: E402  (perfbench's seeded junctions and bias grids)
 
 JUNCTIONS = [
     # (N0 m^-3, L_d m, N_B m^-3): the worked junction, three across the
@@ -79,6 +91,8 @@ SAMPLES = 201
 GRID_POINTS = 41
 FUZZ_SEEDS, FUZZ_JUNCTIONS = (11, 12, 13), 1500
 LAYER_SEED, SEEDED_LAYERS = 7, 300
+# oracle_verify's seeds counted here, and its junctions per seed and grid points
+ORACLE_SEEDS, ORACLE_JUNCTIONS, ORACLE_GRID = (1, 2, 3), 8, 41
 
 
 def _counted(rho: ChargeProfile) -> tuple:
@@ -191,6 +205,37 @@ def _fuzz_layers():
         yield _layer(n, k, d, d, False, x_j), eps, x_j, target
 
 
+def _oracle_verify_counts() -> str:
+    """Rho evaluations per oracle_verify operation over ORACLE_SEEDS: the
+    one-sided grid, the two-sided solve and the reconstruction."""
+    si = get_material("Si")
+    totals, ops = [0, 0, 0], 0
+    for seed in ORACLE_SEEDS:
+        rng = random.Random(seed)
+        for _ in range(ORACLE_JUNCTIONS):
+            j = inputs.draw_junction(rng, two_sided=True)
+            grid = inputs.bias_grid(-rng.uniform(0.3, 0.5) * j.v_bi, 0.98 * j.v_max_reverse,
+                                    ORACLE_GRID)
+            v_two = inputs.bias_two_sided(rng, j)
+            profile = GaussianProfile(n0=j.n0, l_d=j.l_d, n_b=j.n_b)
+            spec = JunctionSpec(material=si, profile=profile)
+            paper, count = _counted(ChargeProfile.paper(profile))
+            for v in grid:
+                solve_one_sided(paper, spec.eps, spec.x_j, spec.v_bi + v)
+            totals[0] += count[0]
+            net, count = _counted(ChargeProfile.net(profile))
+            two = solve_two_sided(net, spec.eps, spec.x_j,
+                                  solve(spec, Bias.from_signed(v_two)).total_potential)
+            totals[1] += count[0]
+            count[0] = 0
+            reconstruct_field_potential(net, spec.eps, two.x_left, two.x_right, SAMPLES)
+            totals[2] += count[0]
+            ops += 1
+    one, two, samples = (n / ops for n in totals)
+    return (f"oracle_verify seeds={','.join(map(str, ORACLE_SEEDS))} rho per op: "
+            f"one-sided {one:.1f} two-sided {two:.1f} reconstruction {samples:.1f}")
+
+
 def main():
     si = get_material("Si")
     lines = []
@@ -234,6 +279,7 @@ def main():
                     _fuzz_junctions(seed)))
     print(_fuzz(f"fuzz seed={LAYER_SEED} layers={SEEDED_LAYERS} two-sided",
                 _fuzz_layers()))
+    print(_oracle_verify_counts())
 
 
 if __name__ == "__main__":

@@ -124,13 +124,18 @@ def _domain(rho: ChargeProfile, eps, lo: float,
     return eps_of_x, breaks, end
 
 
-def _moment_integrand(rho: ChargeProfile, eps_of_x, centre: float = 0.0,
+def _moment_integrand(rho: ChargeProfile, eps, centre: float = 0.0,
                       origin: float = 0.0) -> Callable[[float], float]:
     """s -> (x - centre)*rho(x)/eps(x) at x = origin + s, raising on a
-    non-finite value."""
+    non-finite value. ``eps`` is a permittivity _domain accepts, or a
+    function of x; a constant is divided by directly, with no call."""
+    fn = rho.fn
+    eps_at = eps.eps_at if isinstance(eps, HeteroStack) else eps if callable(eps) else None
+    value = float(eps) if eps_at is None else 0.0
+
     def integrand(s):
         x = origin + s
-        v = (x - centre) * rho.fn(x) / eps_of_x(x)
+        v = (x - centre) * fn(x) / (value if eps_at is None else eps_at(x))
         if not math.isfinite(v):
             raise ArithmeticError(f"non-finite integrand at x = {x:g} m")
         return v
@@ -147,19 +152,18 @@ def _qk(f, a: float, b: float, rule: tuple) -> tuple:
     fc = f(centre)
     resg, resk = g_centre * fc, k_centre * fc
     resabs = abs(resk)
-    fv1, fv2 = [], []
+    fv = []  # (wk, f1, f2) per pair of nodes
     for x, wk, wg in nodes:
         dx = half * x
         f1, f2 = f(centre - dx), f(centre + dx)
-        fv1.append(f1)
-        fv2.append(f2)
+        fv.append((wk, f1, f2))
         pair = f1 + f2
         resg += wg * pair
         resk += wk * pair
         resabs += wk * (abs(f1) + abs(f2))
     mean = 0.5 * resk
     resasc = k_centre * abs(fc - mean)
-    for (_, wk, _), f1, f2 in zip(nodes, fv1, fv2):
+    for wk, f1, f2 in fv:
         resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
     resabs *= half
     resasc *= half
@@ -226,9 +230,14 @@ def _running_integral(fn: Callable[[float], float], origin: float,
     by _quad with ``rules``, summed left to right. ``seed`` holds (x,
     value) pairs past the origin, ascending, remembered from the start: an
     earlier integral of the same fn from the same origin. The remembered
-    (xs, values) are the function's ``points``.
+    (xs, values) are the function's ``points``. A NaN break is ignored.
     """
-    xs, values = [origin, *(x for x, _ in seed)], [0.0, *(v for _, v in seed)]
+    xs, values = [origin], [0.0]
+    for x, v in seed:
+        xs.append(x)
+        values.append(v)
+    # NaN is dropped before sorting: it would leave the list out of order
+    cuts = sorted({p for p in breaks if not math.isnan(p)})
 
     def value(x):
         i = bisect.bisect_left(xs, x)
@@ -236,9 +245,11 @@ def _running_integral(fn: Callable[[float], float], origin: float,
             return values[i]
         lo, hi = (xs[i - 1], x) if x > origin else (x, xs[i])
         step = 0.0
-        for p in (*sorted({p for p in breaks if lo < p < hi}), hi):
+        # the breaks strictly inside (lo, hi), then hi
+        for p in cuts[bisect.bisect_right(cuts, lo):bisect.bisect_left(cuts, hi)]:
             step += _quad(fn, lo, p, rules)
             lo = p
+        step += _quad(fn, lo, hi, rules)
         v = values[i - 1] + step if x > origin else values[i] - step
         xs.insert(i, x)
         values.insert(i, v)
@@ -343,9 +354,9 @@ def moment_integral(rho: ChargeProfile, eps, a: float, b: float) -> float:
     not resolve raises ArithmeticError naming it, as does a moment that
     diverges at inf (a charge that does not vanish at depth).
     """
-    eps_of_x, breaks, _ = _domain(rho, eps, a, b)
+    _, breaks, _ = _domain(rho, eps, a, b)
     near = (a + rho.scale * k for k in _NEAR_SPLITS)
-    return _running_integral(_moment_integrand(rho, eps_of_x), a, (*breaks, *near))(b)
+    return _running_integral(_moment_integrand(rho, eps), a, (*breaks, *near))(b)
 
 
 def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> ScrSolution:
@@ -406,7 +417,7 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     potential, and StackExhaustedError when the SCR would leave the stack.
     """
     global _last
-    eps_of_x, breaks, end = _domain(rho, eps, x_start, x_start)
+    _, breaks, end = _domain(rho, eps, x_start, x_start)
     if not x_start >= 0.0:
         raise ValueError(f"x_start = {x_start:g} m must not be negative")
     if not 0.0 < target < math.inf:
@@ -423,7 +434,7 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
             break
         w_start = w
     warm = w_start > 0.0
-    integrand = _moment_integrand(rho, eps_of_x, origin=x_start)
+    integrand = _moment_integrand(rho, eps, origin=x_start)
     rules = (_QK7, _QK15) if warm else (_GK21,)
     moment = _running_integral(integrand, 0.0, [p - x_start for p in breaks], seed, rules)
     near = None  # (w, moment, integrand) at the last point evaluated
@@ -473,9 +484,16 @@ def solve_one_sided(rho: ChargeProfile, eps, x_start: float, target: float) -> S
     value = m_near + slope * (w - w_near)
     xs, values = moment.points
     i, k = bisect.bisect_left(xs, w), bisect.bisect_right(xs, w)
-    around = (*zip(xs[i - 1:i], values[i - 1:i]), (w, value), *zip(xs[k:k + 1], values[k:k + 1]))
-    _last = (rho, eps, x_start, tuple((x, v) for x, v in around if 0.0 < x < limit),
-             (w_start, m_start))
+    around = [(w, value)]
+    if i:
+        around.insert(0, (xs[i - 1], values[i - 1]))
+    if k < len(xs):
+        around.append((xs[k], values[k]))
+    points = []
+    for point in around:
+        if 0.0 < point[0] < limit:
+            points.append(point)
+    _last = (rho, eps, x_start, tuple(points), (w_start, m_start))
     return ScrSolution(x_left=x_start, x_right=x_start + w, width=w, moment_value=abs(value))
 
 
@@ -522,7 +540,7 @@ def solve_two_sided(rho: ChargeProfile, eps, x_j: float, target: float) -> ScrSo
         raise ValueError(f"x_j and the target must be finite and positive, got {x_j}, {target}")
     breaks = (*breaks, *(x_j + d * rho.scale * k for k in _NEAR_SPLITS for d in (-1, 1)))
     charge = _running_integral(rho.fn, x_j, breaks)
-    moment = _running_integral(_moment_integrand(rho, eps_of_x, x_j), x_j, breaks)
+    moment = _running_integral(_moment_integrand(rho, eps, x_j), x_j, breaks)
 
     def across(x, b):
         # where charge = charge(x) between x_j and b, or b if charge(b) falls short
@@ -639,13 +657,14 @@ def _antiderivative(c) -> list:
     return out
 
 
-def _clenshaw(c, t: float) -> float:
-    """sum c_k*T_k(t) by Clenshaw's recurrence."""
+def _clenshaw(c0: float, tail, t: float) -> float:
+    """sum c_k*T_k(t) by Clenshaw's recurrence, given c_0 and the rest of
+    the coefficients reversed, c[:0:-1]."""
     b1 = b2 = 0.0
     t2 = 2.0 * t
-    for ck in c[:0:-1]:
+    for ck in tail:
         b1, b2 = ck + t2 * b1 - b2, b1
-    return c[0] + t * b1 - b2
+    return c0 + t * b1 - b2
 
 
 def _chebyshev_fit(f, a: float, b: float) -> list:
@@ -721,14 +740,15 @@ def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
         c = _chebyshev_fit(lambda x: rho.fn(x) / eps_of_x(x), a, b)
         field = [half * v for v in _antiderivative(c)]
         potential = [-half * v for v in _antiderivative(field)]
+        e0, e_tail, u0, u_tail = field[0], field[:0:-1], potential[0], potential[:0:-1]
         # the samples up to b, and in the last piece every one left
         while len(out) < n_samples:
             x = x_left + (x_right - x_left) * len(out) / (n_samples - 1)
             if x > b and b < x_right:
                 break
             t = ((x - a) - (b - x)) / (b - a)
-            out.append((x, e_a + _clenshaw(field, t),
-                        u_a - e_a * (x - a) + _clenshaw(potential, t)))
+            out.append((x, e_a + _clenshaw(e0, e_tail, t),
+                        u_a - e_a * (x - a) + _clenshaw(u0, u_tail, t)))
         e_a, u_a = e_a + sum(field), u_a - e_a * (b - a) + sum(potential)
     return out
 

@@ -69,10 +69,19 @@ class TestMomentIntegral:
         rho = ChargeProfile.step(1.0)
         assert moment_integral(rho, 1.0, 1.0, 1.0) == 0.0
 
-    def test_non_finite_integrand(self):
-        rho = ChargeProfile(fn=lambda x: math.nan, scale=1.0)
-        with pytest.raises(ArithmeticError):
-            moment_integral(rho, 1.0, 0.0, 1.0)
+    @pytest.mark.parametrize("solve", [
+        lambda rho, eps: moment_integral(rho, eps, 0.0, 1e-6),
+        lambda rho, eps: solve_one_sided(rho, eps, 0.0, 1.0),
+    ], ids=["moment_integral", "solve_one_sided"])
+    @pytest.mark.parametrize("eps", [SI.eps, HeteroStack(layers=((SI, 1e-3),))],
+                             ids=["constant", "stack"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_integrand(self, value, eps, solve):
+        # a constant permittivity is divided by directly, a stack's is called
+        # at each node: both reach the same check
+        rho = ChargeProfile(fn=lambda x: value, scale=1e-6)
+        with pytest.raises(ArithmeticError, match=r"^non-finite integrand at x = "):
+            solve(rho, eps)
 
     def test_infinite_upper_limit(self):
         rho = ChargeProfile(fn=lambda x: math.exp(-x * x), scale=1.0)
@@ -302,6 +311,60 @@ def test_charge_profile_scale_validation(scale):
         ChargeProfile.step(1.0, scale=scale)
     with pytest.raises(ValueError):
         ChargeProfile(fn=lambda x: 1.0, scale=scale)
+
+
+class TestRunningIntegral:
+    """momentsolver._running_integral splits each increment at the breaks
+    strictly inside it, each once, and sums the pieces left to right."""
+
+    @staticmethod
+    def fn(x):
+        # kinks at -0.35, 0.3 and 0.7, so that a split there moves the sum's bits
+        return abs(x + 0.35) + abs(x - 0.3) * math.exp(x) + abs(x - 0.7)
+
+    @classmethod
+    def pieces(cls, points) -> tuple:
+        """The left-to-right sum of _quad over consecutive points, and its
+        evaluations of fn."""
+        f, xs = _counted(cls.fn)
+        total = 0.0
+        for a, b in zip(points, points[1:]):
+            total += momentsolver._quad(f, a, b)
+        return total, len(xs)
+
+    @pytest.mark.parametrize("breaks, x, points", [
+        ((0.3,), 1.0, (0.0, 0.3, 1.0)),
+        ((0.0, 1.0), 1.0, (0.0, 1.0)),
+        ((-0.35, 1.5, 0.3), 0.2, (0.0, 0.2)),
+        ((0.7, 0.3, 0.7, 0.3), 1.0, (0.0, 0.3, 0.7, 1.0)),
+        ((0.7, math.nan, math.inf, 0.3, -math.inf), 1.0, (0.0, 0.3, 0.7, 1.0)),
+        ((0.3, -0.35, math.nan, -math.inf, -0.35), -1.0, (-1.0, -0.35, 0.0)),
+        ((0.0, -1.0, 0.3, math.inf), -1.0, (-1.0, 0.0)),
+    ], ids=["inside", "at-the-ends", "outside", "duplicated-unsorted", "nan-and-infs",
+            "left-of-origin", "left-at-the-ends"])
+    def test_split_points(self, breaks, x, points):
+        f, xs = _counted(self.fn)
+        got = momentsolver._running_integral(f, 0.0, breaks)(x)
+        expected, evaluations = self.pieces(points)
+        # left of the origin the increment is subtracted from 0
+        assert got == (expected if x > 0.0 else 0.0 - expected)
+        assert len(xs) == evaluations
+        if len(points) > 2:  # the split moves the bits here
+            assert got != self.pieces((points[0], points[-1]))[0] * (1.0 if x > 0.0 else -1.0)
+
+    def test_seeded_integral(self):
+        # a seed point at 0.5: below it an increment starts at the origin,
+        # above it at the seed, and each is split only at its own breaks
+        seed_value = 1.25
+        f, xs = _counted(self.fn)
+        value = momentsolver._running_integral(f, 0.0, (0.7, 0.3, math.nan), ((0.5, seed_value),))
+        assert value(0.5) == seed_value and not xs
+        assert value(0.4) == self.pieces((0.0, 0.3, 0.4))[0]
+        assert value(1.0) == seed_value + self.pieces((0.5, 0.7, 1.0))[0]
+        assert value(0.6) == seed_value + self.pieces((0.5, 0.6))[0]
+        assert len(xs) == 21 * 5
+        assert value.points == ([0.0, 0.4, 0.5, 0.6, 1.0],
+                                [0.0, value(0.4), seed_value, value(0.6), value(1.0)])
 
 
 class TestSolveOneSided:
