@@ -73,8 +73,9 @@ def _spec_from_dict(d: dict) -> JunctionSpec:
 
 
 def serialize(curve: CvCurve, fmt: str = "csv") -> bytes:
-    """Write a curve as CSV (header-exact contract) or JSON. Numbers are
-    shortest-round-trip, lossless at 17 significant digits."""
+    """Write a curve as CSV (header-exact contract) or JSON. Every number is
+    written as a float, shortest-round-trip, lossless at 17 significant
+    digits."""
     if fmt == "csv":
         lines = [CSV_HEADER]
         for v, c, w in curve.points:
@@ -82,11 +83,13 @@ def serialize(curve: CvCurve, fmt: str = "csv") -> bytes:
             lines.append(f"{float(v)!r},{float(c)!r},{w_txt}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
-        obj = {
-            "points": [{"v_bias": v, "c_b": c, "w_sc": w} for v, c, w in curve.points],
-            "spec": None if curve.spec_echo is None else _spec_to_dict(curve.spec_echo),
-        }
-        return (json.dumps(obj) + "\n").encode("utf-8")
+        # the bytes json.dumps gives for {"points": [...], "spec": ...}
+        items = []
+        for v, c, w in curve.points:
+            w_txt = "null" if w is None else repr(float(w))
+            items.append(f'{{"v_bias": {float(v)!r}, "c_b": {float(c)!r}, "w_sc": {w_txt}}}')
+        spec = "null" if curve.spec_echo is None else json.dumps(_spec_to_dict(curve.spec_echo))
+        return f'{{"points": [{", ".join(items)}], "spec": {spec}}}\n'.encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
 
@@ -116,14 +119,19 @@ def deserialize(data: bytes, fmt: str = "csv") -> CvCurve:
             spec = None if obj.get("spec") is None else _spec_from_dict(obj["spec"])
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise CurveFormatError(f"malformed JSON curve: {type(e).__name__}: {e}") from e
-        for point in pts:
-            for value in point if point[2] is not None else point[:2]:
+        floats = True
+        for v, c, w in pts:
+            if type(v) is type(c) is float and (w is None or type(w) is float):
+                continue
+            for value in (v, c) if w is None else (v, c, w):
                 if type(value) not in (float, int):  # so not a bool
                     raise CurveFormatError(f"non-numeric value {value!r} in JSON curve")
-        try:
-            pts = tuple((float(v), float(c), w if w is None else float(w)) for v, c, w in pts)
-        except OverflowError as e:
-            raise CurveFormatError("number too large for a float in JSON curve") from e
+            floats = False
+        if not floats:
+            try:
+                pts = tuple((float(v), float(c), w if w is None else float(w)) for v, c, w in pts)
+            except OverflowError as e:
+                raise CurveFormatError("number too large for a float in JSON curve") from e
         return CvCurve(points=pts, spec_echo=spec)
 
     header, *rows = text.split("\n")

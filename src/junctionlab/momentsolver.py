@@ -734,7 +734,8 @@ def reconstruct_field_potential(rho: ChargeProfile, eps, x_left: float,
         return [(x_left, 0.0, 0.0)] * n_samples
     near = (x_left + rho.scale * k for k in _NEAR_SPLITS)
     ends = [x_left, *sorted({p for p in (*breaks, *near) if x_left < p < x_right}), x_right]
-    out, e_a, u_a = [], 0.0, 0.0
+    # E and u are integrals from x_left, so both are zero there exactly
+    out, e_a, u_a = [(x_left, 0.0, 0.0)], 0.0, 0.0
     for a, b in zip(ends, ends[1:]):
         half = 0.5 * (b - a)
         c = _chebyshev_fit(lambda x: rho.fn(x) / eps_of_x(x), a, b)

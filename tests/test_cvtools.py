@@ -85,6 +85,38 @@ class TestSerialization:
         obj = json.loads(serialize(curve, "json"))
         assert obj["spec"] is None
 
+    @pytest.mark.parametrize("make", [
+        lambda: sweep(WORKED, -0.3, 10.0, 41),
+        lambda: CvCurve(points=((-0.25, 3.1e-3, None), (0.0, 1e-4, None), (1.5, 7.0e-5, None))),
+        lambda: CvCurve(points=()),
+        lambda: CvCurve(points=tuple(tuple(np.float64(x) for x in p)
+                                     for p in sweep(WORKED, -0.3, 10.0, 41).points),
+                        spec_echo=WORKED),
+    ], ids=["sweep", "measured", "empty", "numpy"])
+    def test_json_bytes_match_json_dumps(self, make):
+        # the writer is held to the bytes json.dumps gives for the same curve
+        curve = make()
+        spec = None if curve.spec_echo is None else cvtools._spec_to_dict(curve.spec_echo)
+        obj = {"points": [{"v_bias": v, "c_b": c, "w_sc": w} for v, c, w in curve.points],
+               "spec": spec}
+        assert serialize(curve, "json") == (json.dumps(obj) + "\n").encode()
+
+    def test_json_round_trip_bools_and_ints(self):
+        # written as floats, as the CSV writer writes them
+        curve = CvCurve(points=((False, True, None), (True, 2.0, None), (2, 3, 4)))
+        data = serialize(curve, "json")
+        assert data.startswith(b'{"points": [{"v_bias": 0.0, "c_b": 1.0, "w_sc": null}, ')
+        for fmt in ("csv", "json"):
+            back = deserialize(serialize(curve, fmt), fmt)
+            assert back.points == ((0.0, 1.0, None), (1.0, 2.0, None), (2.0, 3.0, 4.0))
+            assert all(type(x) is float for p in back.points for x in p if x is not None)
+
+    def test_json_ints_read_as_floats(self):
+        data = b'{"points": [{"v_bias": 0, "c_b": 1e-4}, {"v_bias": 1.5, "c_b": 2, "w_sc": 3}], "spec": null}'
+        back = deserialize(data, "json")
+        assert back.points == ((0.0, 1e-4, None), (1.5, 2.0, 3.0))
+        assert all(type(x) is float for p in back.points for x in p if x is not None)
+
     def test_measured_csv_without_w_column(self):
         data = b"v_bias_V,c_b_F_per_m2\n0.0,1e-4\n1.0,9e-5\n"
         curve = deserialize(data, "csv")
@@ -341,7 +373,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("point", [
         b'{"v_bias": "abc", "c_b": 1e-4}', b'{"v_bias": 0.0, "c_b": "x"}',
         b'{"v_bias": null, "c_b": 1e-4}', b'{"v_bias": 0.0, "c_b": 1e-4, "w_sc": "w"}',
-        b'{"v_bias": true, "c_b": 1e-4}',
+        b'{"v_bias": true, "c_b": 1e-4}', b'{"v_bias": 0.0, "c_b": 1e-4, "w_sc": true}',
         pytest.param(b'{"v_bias": 1' + b'0' * 400 + b', "c_b": 1e-4}', id="1e400"),
         pytest.param(b'{"v_bias": 1' + b'0' * 5000 + b', "c_b": 1e-4}', id="1e5000")])
     def test_json_non_numeric_value(self, point):

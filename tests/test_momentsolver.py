@@ -919,6 +919,16 @@ class TestReconstruct:
     def test_empty_interval_is_zero(self):
         assert reconstruct_field_potential(_NET, SI.eps, 2e-5, 2e-5, 5) == [(2e-5, 0.0, 0.0)] * 5
 
+    @pytest.mark.parametrize("target", ANALYTIC_TARGETS)
+    def test_first_sample_is_exact_zero(self, target):
+        # E and u are integrals from x_left, so the first sample is (x_left, 0, 0)
+        # with no rounding from the series
+        rho = ChargeProfile.net(WORKED_PROFILE)
+        sol = solve_two_sided(rho, SI.eps, WORKED.x_j, target)
+        samples = reconstruct_field_potential(rho, SI.eps, sol.x_left, sol.x_right, 201)
+        assert samples[0] == (sol.x_left, 0.0, 0.0)
+        assert math.copysign(1.0, samples[0][1]) == math.copysign(1.0, samples[0][2]) == 1.0
+
     def test_nan_charge_inside_scr_raises(self):
         rho = ChargeProfile(fn=lambda x: math.nan if x > 0.5e-6 else Q * 1e21)
         with pytest.raises(ArithmeticError, match="non-finite rho/eps"):
